@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_suite
-from .envs import build_env
+from .envs import ENV_SPECS, build_env
 from .optim import OPTIMIZERS, NonFiniteGradientError, PandaConfig
 
 log = logging.getLogger("panda")
@@ -96,9 +96,13 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     if not isinstance(env, dict) or "name" not in env:
         raise ConfigError('config requires "env": {"name": ...}')
     env_name = env["name"]
-    if env_name not in ("synthetic", "sentinel"):
+    if env_name not in ENV_SPECS:
         raise ConfigError(f"unknown environment {env_name!r}")
     env_overrides = {k: _tuplize(v) for k, v in env.items() if k != "name"}
+    spec_fields = {f.name for f in dataclasses.fields(ENV_SPECS[env_name][0])}
+    unknown = set(env_overrides) - spec_fields
+    if unknown:
+        raise ConfigError(f"unknown env fields for {env_name!r}: {sorted(unknown)}")
 
     optimizers = raw.get("optimizers")
     if (not isinstance(optimizers, list) or not optimizers
@@ -171,7 +175,10 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
 
 def _run_one(payload: dict) -> dict:
     """Worker: one (optimizer, seed) run; returns plain picklable rows."""
-    env = build_env(payload["env_name"], **payload["env_overrides"])
+    try:
+        env = build_env(payload["env_name"], **payload["env_overrides"])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid env values: {e}") from e
     cfg = PandaConfig(**payload["cfg"])
     runner = OPTIMIZERS[payload["optimizer"]]
     t0 = time.perf_counter()
@@ -264,14 +271,8 @@ def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list
                  for res in results],
     }
     (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, default=_tuplize_json) + "\n")
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return paths
-
-
-def _tuplize_json(obj):
-    if isinstance(obj, tuple):
-        return list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # --------------------------------------------------------------------------

@@ -29,77 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MarkovGame, RewardModel, TabularPolicy
-from .sampling import RngStream, n_env_steps, sample_batch
+from .exact import finite_horizon_grad, finite_horizon_value
+from .game import MarkovGame, RewardModel, probs
+from .sampling import RngStream, n_env_steps, reinforce, sample_batch
 
 __all__ = [
     "SyntheticSpec",
     "GridSpec",
+    "ENV_SPECS",
     "EnvBundle",
     "SyntheticUL",
     "SentinelUL",
     "build_synthetic",
     "build_sentinel",
     "build_env",
-    "ul_value_exact",
 ]
-
-
-# --------------------------------------------------------------------------
-# Shared finite-horizon policy-gradient helpers (plain, unregularized)
-# --------------------------------------------------------------------------
-
-def _pg_from_trajs(trajs, probs, side, gamma):
-    """Mean REINFORCE gradient sum_t gamma^t score_t * reward-to-go_t."""
-    grad = np.zeros_like(probs)
-    for traj in trajs:
-        g = np.empty(len(traj))
-        acc = 0.0
-        for t in range(len(traj) - 1, -1, -1):
-            acc = traj.rewards[t] + gamma * acc
-            g[t] = acc
-        w = g * gamma ** np.arange(len(traj))
-        acts = traj.actions_min if side == "min" else traj.actions_max
-        np.add.at(grad, (traj.states, acts), w)
-        np.add.at(grad, traj.states, -w[:, None] * probs[traj.states])
-    return grad / len(trajs)
-
-
-def _probs_of(policy):
-    if isinstance(policy, TabularPolicy):
-        return policy.probs_all()
-    return np.asarray(policy, dtype=float)
-
-
-def _finite_horizon_pg_exact(transition, rewards, rho, y, z, horizon, gamma):
-    """Exact finite-horizon policy gradients of E[sum_t gamma^t r_t].
-
-    Returns (value, grad_min, grad_max) for stationary policies (y, z) acting
-    jointly in the MDP given by `transition` (S,A,B,S) and `rewards` (S,A,B).
-    """
-    p_yz = np.einsum("sabn,sa,sb->sn", transition, y, z)
-    # backward action values; v[t] is the tail value from step t
-    v_next = np.zeros(transition.shape[0])
-    qs = []
-    for _ in range(horizon):
-        q = rewards + gamma * np.einsum("sabn,n->sab", transition, v_next)
-        v_next = np.einsum("sab,sa,sb->s", q, y, z)
-        qs.append(q)
-    qs.reverse()  # qs[t] holds the step-t action values
-    value = float(rho @ v_next)
-
-    gmin = np.zeros_like(y)
-    gmax = np.zeros_like(z)
-    pt = rho.copy()
-    for t in range(horizon):
-        q = qs[t]
-        sc = (gamma ** t) * pt
-        qy = np.einsum("sab,sb->sa", q, z)
-        gmin += sc[:, None] * y * (qy - np.sum(y * qy, axis=1, keepdims=True))
-        qz = np.einsum("sab,sa->sb", q, y)
-        gmax += sc[:, None] * z * (qz - np.sum(z * qz, axis=1, keepdims=True))
-        pt = p_yz.T @ pt
-    return value, gmin, gmax
 
 
 # --------------------------------------------------------------------------
@@ -130,18 +74,16 @@ class SyntheticUL:
     reward_id: RewardModel
     horizon: int
 
+    def _kernel_args(self, policy_min, policy_max):
+        mdp = self.mdp
+        return (mdp.transition, self.reward_id.base, mdp.init_dist, probs(policy_min),
+                probs(policy_max), self.horizon, mdp.discount, mdp.absorbing)
+
     def value_exact(self, model, policy_min, policy_max) -> float:
-        y, z = _probs_of(policy_min), _probs_of(policy_max)
-        value, _, _ = _finite_horizon_pg_exact(
-            self.mdp.transition, self.reward_id.base, self.mdp.init_dist,
-            y, z, self.horizon, self.mdp.discount)
-        return -value
+        return -finite_horizon_value(*self._kernel_args(policy_min, policy_max))
 
     def grad_policies_exact(self, model, policy_min, policy_max):
-        y, z = _probs_of(policy_min), _probs_of(policy_max)
-        _, gmin, gmax = _finite_horizon_pg_exact(
-            self.mdp.transition, self.reward_id.base, self.mdp.init_dist,
-            y, z, self.horizon, self.mdp.discount)
+        gmin, gmax = finite_horizon_grad(*self._kernel_args(policy_min, policy_max))
         return -gmin, -gmax
 
     def grad_x_exact(self, model, policy_min, policy_max) -> np.ndarray:
@@ -161,9 +103,10 @@ class SyntheticUL:
     def grad_policies_estimate(self, model, policy_min, policy_max, batch,
                                stream: RngStream, purpose=0, outer=0, inner=0):
         trajs = self._sample(policy_min, policy_max, batch, stream, purpose, outer, inner)
-        y, z = _probs_of(policy_min), _probs_of(policy_max)
-        gmin = -_pg_from_trajs(trajs, y, "min", self.mdp.discount)
-        gmax = -_pg_from_trajs(trajs, z, "max", self.mdp.discount)
+        rewards = [t.rewards for t in trajs]
+        gamma = self.mdp.discount
+        gmin = -reinforce(trajs, rewards, probs(policy_min), "min", gamma)
+        gmax = -reinforce(trajs, rewards, probs(policy_max), "max", gamma)
         return gmin, gmax, n_env_steps(trajs)
 
     def grad_x_estimate(self, model, policy_min, policy_max, batch,
@@ -271,45 +214,20 @@ class SentinelUL:
     restricted_state: np.ndarray  # bool (S,), terminal excluded
     horizon: int
 
+    def _kernel_args(self, policy_min, policy_max):
+        # the step count c(s) of every action pair, undiscounted; the terminal
+        # is absorbing, so steps the rollout never records count nothing
+        g = self.game
+        stage = np.broadcast_to(self.restricted_state.astype(float)[:, None, None],
+                                g.transition.shape[:3])
+        return (g.transition, stage, g.init_dist, probs(policy_min), probs(policy_max),
+                self.horizon, 1.0, g.absorbing)
+
     def value_exact(self, model, policy_min, policy_max) -> float:
-        y, z = _probs_of(policy_min), _probs_of(policy_max)
-        p_yz = np.einsum("sabn,sa,sb->sn", self.game.transition, y, z)
-        c = self.restricted_state.astype(float)
-        v = np.zeros(self.game.n_states)
-        for _ in range(self.horizon):
-            v = c + p_yz @ v
-            v[self.game.absorbing] = 0.0
-        # the recursion already zeroes the terminal; including absorbing visits
-        # would double-count steps the rollout never records
-        return float(self.game.init_dist @ v)
+        return finite_horizon_value(*self._kernel_args(policy_min, policy_max))
 
     def grad_policies_exact(self, model, policy_min, policy_max):
-        y, z = _probs_of(policy_min), _probs_of(policy_max)
-        p = self.game.transition
-        p_yz = np.einsum("sabn,sa,sb->sn", p, y, z)
-        c = self.restricted_state.astype(float)
-        # tail[t](s) = expected remaining count from step t in state s
-        tails = [np.zeros(self.game.n_states)]
-        for _ in range(self.horizon):
-            v = c + p_yz @ tails[-1]
-            v[self.game.absorbing] = 0.0
-            tails.append(v)
-        tails.reverse()  # tails[t] now pairs with step t
-
-        gmin = np.zeros_like(y)
-        gmax = np.zeros_like(z)
-        pt = self.game.init_dist.copy()
-        for t in range(self.horizon):
-            # action value: counts strictly after step t (the step-t count does
-            # not depend on the current actions)
-            q = np.einsum("sabn,n->sab", p, tails[t + 1])
-            q[self.game.absorbing] = 0.0
-            qy = np.einsum("sab,sb->sa", q, z)
-            gmin += pt[:, None] * y * (qy - np.sum(y * qy, axis=1, keepdims=True))
-            qz = np.einsum("sab,sa->sb", q, y)
-            gmax += pt[:, None] * z * (qz - np.sum(z * qz, axis=1, keepdims=True))
-            pt = p_yz.T @ pt
-        return gmin, gmax
+        return finite_horizon_grad(*self._kernel_args(policy_min, policy_max))
 
     def grad_x_exact(self, model, policy_min, policy_max) -> np.ndarray:
         return np.zeros_like(model.incentive_params)
@@ -328,17 +246,10 @@ class SentinelUL:
                                stream: RngStream, purpose=0, outer=0, inner=0):
         trajs = sample_batch(self.game, model, policy_min, policy_max, batch,
                              self.horizon, stream, purpose, outer, inner)
-        y, z = _probs_of(policy_min), _probs_of(policy_max)
-        gmin = np.zeros_like(y)
-        gmax = np.zeros_like(z)
-        for traj in trajs:
-            ctg = np.cumsum(self._counts(traj)[::-1])[::-1]  # undiscounted count-to-go
-            np.add.at(gmin, (traj.states, traj.actions_min), ctg)
-            np.add.at(gmin, traj.states, -ctg[:, None] * y[traj.states])
-            np.add.at(gmax, (traj.states, traj.actions_max), ctg)
-            np.add.at(gmax, traj.states, -ctg[:, None] * z[traj.states])
-        n = len(trajs)
-        return gmin / n, gmax / n, n_env_steps(trajs)
+        counts = [self._counts(t) for t in trajs]
+        gmin = reinforce(trajs, counts, probs(policy_min), "min", 1.0)
+        gmax = reinforce(trajs, counts, probs(policy_max), "max", 1.0)
+        return gmin, gmax, n_env_steps(trajs)
 
     def grad_x_estimate(self, model, policy_min, policy_max, batch,
                         stream: RngStream, purpose=0, outer=0, inner=0):
@@ -423,14 +334,15 @@ def build_sentinel(spec: GridSpec) -> EnvBundle:
                      horizon=spec.max_steps)
 
 
+# name -> (spec dataclass, builder); a config's env overrides are spec fields
+ENV_SPECS = {
+    "synthetic": (SyntheticSpec, build_synthetic),
+    "sentinel": (GridSpec, build_sentinel),
+}
+
+
 def build_env(name: str, **overrides) -> EnvBundle:
-    if name == "synthetic":
-        return build_synthetic(SyntheticSpec(**overrides))
-    if name == "sentinel":
-        return build_sentinel(GridSpec(**overrides))
-    raise ValueError(f"unknown environment {name!r}")
-
-
-def ul_value_exact(env: EnvBundle, model, policy_min, policy_max) -> float:
-    """Exact upper-level loss of an environment at the given point."""
-    return env.ul.value_exact(model, policy_min, policy_max)
+    if name not in ENV_SPECS:
+        raise ValueError(f"unknown environment {name!r}")
+    spec, build = ENV_SPECS[name]
+    return build(spec(**overrides))

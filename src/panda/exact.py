@@ -14,11 +14,13 @@ minimized in y and maximized in z over the simplices.  The module provides
     optimality), both gamma-contractions,
   * Nash equilibrium computation by value iteration over the optimality
     operator,
-  * single-player soft best responses by log-sum-exp value iteration on the
+  * single-player soft best responses by soft policy iteration on the
     induced regularized MDPs, and the Nikaido-Isoda gap built from them,
   * discounted state visitation and exact score-function gradients of the
-    regularized value in policy logits and in the reward parameters, with
-    finite-horizon (truncated) variants matching the sampled estimators.
+    regularized value in policy logits and in the reward parameters,
+  * the finite-horizon value and policy gradient of any per-step stage
+    reward, which give the truncated gradients matching the sampled
+    estimators and the environments' upper-level objectives.
 
 Absorbing states are excluded from rewards and regularization throughout:
 their value is identically zero and gradients place no weight on them.
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import MarkovGame, RewardModel, TabularPolicy, effective_reward, effective_reward_grad_x
+from .game import (MarkovGame, RewardModel, effective_reward, effective_reward_grad_x,
+                   log_softmax, probs, softmax)
 
 __all__ = [
     "SaddleSolveError",
@@ -51,6 +54,8 @@ __all__ = [
     "visitation",
     "exact_grad_policy",
     "exact_grad_x",
+    "finite_horizon_value",
+    "finite_horizon_grad",
     "exact_grad_policy_truncated",
     "exact_grad_x_truncated",
     "pl_constant",
@@ -80,23 +85,6 @@ def _safe_log(p: np.ndarray) -> np.ndarray:
 def _neg_entropy(p: np.ndarray) -> np.ndarray:
     """Row-wise sum p*log(p) with the 0*log(0)=0 convention."""
     return np.sum(p * _safe_log(p), axis=-1)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
-def _probs(policy) -> np.ndarray:
-    if isinstance(policy, TabularPolicy):
-        return policy.probs_all()
-    return np.asarray(policy, dtype=float)
 
 
 # --------------------------------------------------------------------------
@@ -146,8 +134,8 @@ def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None, check_every=16)
         return np.einsum("nab,na->nb", q, y)
 
     def residual(y, z):
-        ry = np.abs(y - _softmax(-qz(z) / tau_min)).max()
-        rz = np.abs(z - _softmax(qty(y) / tau_max)).max()
+        ry = np.abs(y - softmax(-qz(z) / tau_min)).max()
+        rz = np.abs(z - softmax(qty(y) / tau_max)).max()
         return max(ry, rz)
 
     it = 0
@@ -159,10 +147,10 @@ def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None, check_every=16)
             res = residual(y, z)
             if res <= tol:
                 break
-        lyh = _log_softmax(dy * ly - eta * qz(z))
-        lzh = _log_softmax(dz * lz + eta * qty(y))
-        ly = _log_softmax(dy * ly - eta * qz(np.exp(lzh)))
-        lz = _log_softmax(dz * lz + eta * qty(np.exp(lyh)))
+        lyh = log_softmax(dy * ly - eta * qz(z))
+        lzh = log_softmax(dz * lz + eta * qty(y))
+        ly = log_softmax(dy * ly - eta * qz(np.exp(lzh)))
+        lz = log_softmax(dz * lz + eta * qty(np.exp(lyh)))
         it += 1
     else:
         y = np.exp(ly)
@@ -201,7 +189,7 @@ def _folded(game: MarkovGame, r_eff, y, z):
 
 def bellman_policy_operator(game: MarkovGame, model: RewardModel, policy_min, policy_max, v):
     """One application of the fixed-policy evaluation operator."""
-    y, z = _probs(policy_min), _probs(policy_max)
+    y, z = probs(policy_min), probs(policy_max)
     r_eff = effective_reward(game, model)
     r_yz, p_yz, h = _folded(game, r_eff, y, z)
     return r_yz + h + game.discount * p_yz @ v
@@ -233,7 +221,7 @@ def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
 
 def policy_eval(game: MarkovGame, model: RewardModel, policy_min, policy_max) -> np.ndarray:
     """Regularized value of a fixed policy pair, by direct linear solve."""
-    y, z = _probs(policy_min), _probs(policy_max)
+    y, z = probs(policy_min), probs(policy_max)
     r_eff = effective_reward(game, model)
     r_yz, p_yz, h = _folded(game, r_eff, y, z)
     a = np.eye(game.n_states) - game.discount * p_yz
@@ -315,42 +303,18 @@ class BestResponse:
     policy: np.ndarray   # best-responding policy, rows softmax(Q/tau)
     soft_v: np.ndarray   # internal soft values (useful as a warm start)
     residual: float
-    sweeps: int
-
-
-def _soft_vi(r_fold, p_fold, tau, absorbing, gamma, tol, max_sweeps, v0=None):
-    """Log-sum-exp value iteration for a single-player regularized MDP."""
-    s, k = r_fold.shape
-    v = np.zeros(s) if v0 is None else np.asarray(v0, dtype=float).copy()
-    v[absorbing] = 0.0
-    thr = tol * (1.0 - gamma) / gamma if gamma > 0 else np.inf
-    res = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        qf = r_fold + gamma * np.einsum("skn,n->sk", p_fold, v)
-        m = qf.max(axis=1)
-        vn = tau * (m / tau + np.log(np.exp(qf / tau - m[:, None] / tau).sum(axis=1)))
-        vn[absorbing] = 0.0
-        res = np.abs(vn - v).max()
-        v = vn
-        if res <= thr:
-            break
-    else:
-        raise ValueIterationError(float(res), max_sweeps)
-    qf = r_fold + gamma * np.einsum("skn,n->sk", p_fold, v)
-    pol = _softmax(qf / tau)
-    pol[absorbing] = 1.0 / k
-    return v, pol, float(res), sweep
+    sweeps: int          # policy-iteration rounds
 
 
 def _soft_policy_iteration(r_fold, p_fold, tau, absorbing, gamma, tol,
-                           max_rounds, v0=None):
-    """Policy iteration for the same regularized MDP as `_soft_vi`.
+                           max_rounds=200, v0=None):
+    """Policy iteration for a single-player MDP regularized at temperature tau.
 
     Alternates exact evaluation of the entropy-regularized policy (a linear
     solve) with the softmax improvement step.  Being Newton's method on the
     soft Bellman fixed point, it converges in a handful of rounds regardless
-    of the discount, so it is the engine of choice when gamma is close to 1.
-    Termination uses the same value-residual threshold as `_soft_vi`.
+    of the discount.  It stops once the log-sum-exp backup moves the values
+    by at most tol*(1-gamma)/gamma.
     """
     s, k = r_fold.shape
     thr = tol * (1.0 - gamma) / gamma if gamma > 0 else np.inf
@@ -358,7 +322,7 @@ def _soft_policy_iteration(r_fold, p_fold, tau, absorbing, gamma, tol,
     v = np.zeros(s) if v0 is None else np.asarray(v0, dtype=float).copy()
     v[absorbing] = 0.0
     qf = r_fold + gamma * np.einsum("skn,n->sk", p_fold, v)
-    pol = _softmax(qf / tau)
+    pol = softmax(qf / tau)
     res = np.inf
     for rounds in range(1, max_rounds + 1):
         c = np.einsum("sk,sk->s", pol, r_fold) - tau * _neg_entropy(pol)
@@ -370,7 +334,7 @@ def _soft_policy_iteration(r_fold, p_fold, tau, absorbing, gamma, tol,
         m = qf.max(axis=1)
         tv = tau * (m / tau + np.log(np.exp(qf / tau - m[:, None] / tau).sum(axis=1)))
         tv[absorbing] = 0.0
-        pol = _softmax(qf / tau)
+        pol = softmax(qf / tau)
         res = np.abs(tv - v).max()
         if res <= thr:
             break
@@ -380,41 +344,32 @@ def _soft_policy_iteration(r_fold, p_fold, tau, absorbing, gamma, tol,
     return v, pol, float(res), rounds
 
 
-_BR_ENGINES = {"vi": (_soft_vi, 500_000), "pi": (_soft_policy_iteration, 200)}
-
-
 def best_response(game: MarkovGame, model: RewardModel, fixed, side,
-                  tol=1e-10, max_sweeps=None, v0=None, method="vi") -> BestResponse:
+                  tol=1e-10, v0=None) -> BestResponse:
     """Soft best response of one player against a fixed opponent policy.
 
     side="max": `fixed` is the min player's policy; maximizes J over z by
     dynamic programming on the induced MDP over B-actions, whose reward
     folds in the opponent's expected payoff and entropy.  side="min" is the
-    mirror image on a sign-flipped reward; its j_value is min_y J.
-    method picks the engine: "vi" log-sum-exp value iteration, "pi" policy
-    iteration (much faster for discounts near 1, same fixed point).
+    mirror image on a sign-flipped reward; its j_value is min_y J.  Both
+    are solved by soft policy iteration; `v0` warm-starts its values.
     """
-    engine, default_cap = _BR_ENGINES[method]
-    cap = default_cap if max_sweeps is None else max_sweeps
+    if side not in ("min", "max"):
+        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     r_eff = effective_reward(game, model)
-    p = game.transition
+    pi = probs(fixed)
     if side == "max":
-        y = _probs(fixed)
-        r_fold = np.einsum("sab,sa->sb", r_eff, y) + game.tau_min * _neg_entropy(y)[:, None]
-        r_fold[game.absorbing] = 0.0
-        p_fold = np.einsum("sabn,sa->sbn", p, y)
-        v, pol, res, sweeps = engine(r_fold, p_fold, game.tau_max, game.absorbing,
-                                     game.discount, tol, cap, v0)
-        return BestResponse(float(game.init_dist @ v), pol, v, res, sweeps)
-    if side == "min":
-        z = _probs(fixed)
-        r_fold = -np.einsum("sab,sb->sa", r_eff, z) + game.tau_max * _neg_entropy(z)[:, None]
-        r_fold[game.absorbing] = 0.0
-        p_fold = np.einsum("sabn,sb->san", p, z)
-        v, pol, res, sweeps = engine(r_fold, p_fold, game.tau_min, game.absorbing,
-                                     game.discount, tol, cap, v0)
-        return BestResponse(float(-(game.init_dist @ v)), pol, v, res, sweeps)
-    raise ValueError(f"side must be 'min' or 'max', got {side!r}")
+        r_fold = np.einsum("sab,sa->sb", r_eff, pi) + game.tau_min * _neg_entropy(pi)[:, None]
+        p_fold = np.einsum("sabn,sa->sbn", game.transition, pi)
+        tau, sign = game.tau_max, 1.0
+    else:
+        r_fold = -np.einsum("sab,sb->sa", r_eff, pi) + game.tau_max * _neg_entropy(pi)[:, None]
+        p_fold = np.einsum("sabn,sb->san", game.transition, pi)
+        tau, sign = game.tau_min, -1.0
+    r_fold[game.absorbing] = 0.0
+    v, pol, res, sweeps = _soft_policy_iteration(r_fold, p_fold, tau, game.absorbing,
+                                                 game.discount, tol, v0=v0)
+    return BestResponse(sign * float(game.init_dist @ v), pol, v, res, sweeps)
 
 
 def ni_gap(game: MarkovGame, model: RewardModel, policy_min, policy_max, tol=1e-10) -> float:
@@ -430,31 +385,23 @@ def ni_gap(game: MarkovGame, model: RewardModel, policy_min, policy_max, tol=1e-
 
 def visitation(game: MarkovGame, policy_min, policy_max) -> np.ndarray:
     """Discounted state visitation d = (1-gamma) * (I - gamma*P')^{-1} rho."""
-    y, z = _probs(policy_min), _probs(policy_max)
+    y, z = probs(policy_min), probs(policy_max)
     p_yz = np.einsum("sabn,sa,sb->sn", game.transition, y, z)
     a = np.eye(game.n_states) - game.discount * p_yz.T
     return np.linalg.solve(a, (1.0 - game.discount) * game.init_dist)
 
 
-def _weight_tensor(game, r_eff, y, z, v):
-    """Per-triple weight: regularized payoff plus discounted continuation.
-
-    W(s,a,b) = r(s,a,b) + tau_min*log y(a|s) - tau_max*log z(b|s) + gamma*E V(s'),
-    zeroed on absorbing states.  This is the conditional expectation of the
-    sampled regularized reward-to-go given (s, a, b).
-    """
-    w = (r_eff
-         + game.tau_min * _safe_log(y)[:, :, None]
-         - game.tau_max * _safe_log(z)[:, None, :]
-         + game.discount * np.einsum("sabn,n->sab", game.transition, v))
-    w[game.absorbing] = 0.0
-    return w
+def _regularized_stage(game, r_eff, y, z):
+    """Per-step regularized payoff r(s,a,b) + tau_min*log y(a|s) - tau_max*log z(b|s)."""
+    return (r_eff
+            + game.tau_min * _safe_log(y)[:, :, None]
+            - game.tau_max * _safe_log(z)[:, None, :])
 
 
-def _score_rows(probs, avg_w, d_over):
-    """Rows d(s)/(1-gamma) * sum_a pi (e_a - pi) avg_w = pi * (avg_w - <pi, avg_w>)."""
-    inner = np.sum(probs * avg_w, axis=1, keepdims=True)
-    return d_over[:, None] * probs * (avg_w - inner)
+def _score_rows(pi, avg_w, weight):
+    """Rows weight(s) * sum_a pi (e_a - pi) avg_w = weight * pi * (avg_w - <pi, avg_w>)."""
+    inner = np.sum(pi * avg_w, axis=1, keepdims=True)
+    return weight[:, None] * pi * (avg_w - inner)
 
 
 def exact_grad_policy(game: MarkovGame, model: RewardModel, policy_min, policy_max, side) -> np.ndarray:
@@ -464,11 +411,15 @@ def exact_grad_policy(game: MarkovGame, model: RewardModel, policy_min, policy_m
     with the regularized continuation weight, so it matches the expectation
     of the sampled reward-to-go estimator at infinite horizon.
     """
-    y, z = _probs(policy_min), _probs(policy_max)
+    y, z = probs(policy_min), probs(policy_max)
     r_eff = effective_reward(game, model)
     v = policy_eval(game, model, y, z)
     d = visitation(game, y, z)
-    w = _weight_tensor(game, r_eff, y, z, v)
+    # regularized payoff plus discounted continuation, zero on absorbing
+    # states: the mean of the sampled regularized reward-to-go given (s, a, b)
+    w = (_regularized_stage(game, r_eff, y, z)
+         + game.discount * np.einsum("sabn,n->sab", game.transition, v))
+    w[game.absorbing] = 0.0
     d_over = d / (1.0 - game.discount)
     if side == "min":
         return _score_rows(y, np.einsum("sab,sb->sa", w, z), d_over)
@@ -479,47 +430,75 @@ def exact_grad_policy(game: MarkovGame, model: RewardModel, policy_min, policy_m
 
 def exact_grad_x(game: MarkovGame, model: RewardModel, policy_min, policy_max) -> np.ndarray:
     """Exact gradient of J in the incentive parameters x, shape (S, A, B)."""
-    y, z = _probs(policy_min), _probs(policy_max)
+    y, z = probs(policy_min), probs(policy_max)
     d = visitation(game, y, z)
     g = effective_reward_grad_x(game, model)
     return (d / (1.0 - game.discount))[:, None, None] * y[:, :, None] * z[:, None, :] * g
 
 
-def _tail_values(game, r_eff, y, z, horizon):
-    """v_m = expected m-step regularized return, m = 0..horizon-1."""
-    r_yz, p_yz, h = _folded(game, r_eff, y, z)
-    u = r_yz + h
-    u[game.absorbing] = 0.0
-    vs = [np.zeros(game.n_states)]
-    for _ in range(1, horizon):
-        vn = u + game.discount * p_yz @ vs[-1]
-        vn[game.absorbing] = 0.0
-        vs.append(vn)
-    return vs, p_yz
+# --------------------------------------------------------------------------
+# Finite-horizon value and policy gradient of a per-step stage reward
+# --------------------------------------------------------------------------
+
+def finite_horizon_value(transition, stage, rho, y, z, horizon, gamma, absorbing) -> float:
+    """E[sum_{t<horizon} gamma^t stage(s_t, a_t, b_t)] from s_0 ~ rho under (y, z).
+
+    `stage` has shape (S, A, B).  Absorbing states end the episode and add
+    nothing.  The recursion runs on the chain folded under the policy pair,
+    one (S, S) mat-vec per step.
+    """
+    p_yz = np.einsum("sabn,sa,sb->sn", transition, y, z)
+    u = np.einsum("sab,sa,sb->s", stage, y, z)
+    v = np.zeros(transition.shape[0])
+    for _ in range(horizon):
+        v = u + gamma * (p_yz @ v)
+        v[absorbing] = 0.0
+    return float(rho @ v)
+
+
+def finite_horizon_grad(transition, stage, rho, y, z, horizon, gamma, absorbing):
+    """Gradients of `finite_horizon_value` in both players' softmax logits.
+
+    A backward recursion builds the step-t action values
+    q_t = stage + gamma * P v_{t+1} (zero on absorbing states); a forward pass
+    then weights each step's score-function rows by gamma^t times the
+    step-t state distribution.  Returns (grad_min, grad_max).
+    """
+    p_yz = np.einsum("sabn,sa,sb->sn", transition, y, z)
+    v_next = np.zeros(transition.shape[0])
+    qs = []
+    for _ in range(horizon):
+        q = stage + gamma * np.einsum("sabn,n->sab", transition, v_next)
+        q[absorbing] = 0.0
+        v_next = np.einsum("sab,sa,sb->s", q, y, z)
+        qs.append(q)
+
+    gmin = np.zeros_like(y)
+    gmax = np.zeros_like(z)
+    pt = rho
+    for t, q in enumerate(reversed(qs)):  # q holds the step-t action values
+        sc = (gamma ** t) * pt
+        gmin += _score_rows(y, np.einsum("sab,sb->sa", q, z), sc)
+        gmax += _score_rows(z, np.einsum("sab,sa->sb", q, y), sc)
+        pt = p_yz.T @ pt
+    return gmin, gmax
 
 
 def exact_grad_policy_truncated(game: MarkovGame, model: RewardModel, policy_min,
                                 policy_max, horizon, side) -> np.ndarray:
     """Exact gradient of the horizon-truncated J; the sampled estimator's mean."""
-    y, z = _probs(policy_min), _probs(policy_max)
-    r_eff = effective_reward(game, model)
-    vs, p_yz = _tail_values(game, r_eff, y, z, horizon)
-    pt = game.init_dist.copy()
-    grad = np.zeros_like(y if side == "min" else z)
-    for t in range(horizon):
-        w = _weight_tensor(game, r_eff, y, z, vs[horizon - t - 1])
-        scale = (game.discount ** t) * pt
-        if side == "min":
-            grad += _score_rows(y, np.einsum("sab,sb->sa", w, z), scale)
-        else:
-            grad += _score_rows(z, np.einsum("sab,sa->sb", w, y), scale)
-        pt = p_yz.T @ pt
-    return grad
+    if side not in ("min", "max"):
+        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
+    y, z = probs(policy_min), probs(policy_max)
+    stage = _regularized_stage(game, effective_reward(game, model), y, z)
+    gmin, gmax = finite_horizon_grad(game.transition, stage, game.init_dist, y, z,
+                                     horizon, game.discount, game.absorbing)
+    return gmin if side == "min" else gmax
 
 
 def exact_grad_x_truncated(game: MarkovGame, model: RewardModel, policy_min,
                            policy_max, horizon) -> np.ndarray:
-    y, z = _probs(policy_min), _probs(policy_max)
+    y, z = probs(policy_min), probs(policy_max)
     g = effective_reward_grad_x(game, model)
     _, p_yz, _ = _folded(game, effective_reward(game, model), y, z)
     pt = game.init_dist.copy()
@@ -549,16 +528,16 @@ class NIGradients:
 
 
 def ni_gradients(game: MarkovGame, model: RewardModel, policy_min, policy_max,
-                 tol=1e-10, v0_min=None, v0_max=None, method="vi") -> NIGradients:
+                 tol=1e-10, v0_min=None, v0_max=None) -> NIGradients:
     """Gap and its exact gradients via Danskin at the inner best responses.
 
     `v0_min`/`v0_max` warm-start the two best-response solves; pass the
     `v_min`/`v_max` of a previous call at nearby policies to make repeated
     evaluation along an optimization path cheap.
     """
-    y, z = _probs(policy_min), _probs(policy_max)
-    bmax = best_response(game, model, y, "max", tol=tol, v0=v0_max, method=method)
-    bmin = best_response(game, model, z, "min", tol=tol, v0=v0_min, method=method)
+    y, z = probs(policy_min), probs(policy_max)
+    bmax = best_response(game, model, y, "max", tol=tol, v0=v0_max)
+    bmin = best_response(game, model, z, "min", tol=tol, v0=v0_min)
     grad_min = exact_grad_policy(game, model, y, bmax.policy, "min")
     grad_max = -exact_grad_policy(game, model, bmin.policy, z, "max")
     grad_x = exact_grad_x(game, model, y, bmax.policy) - exact_grad_x(game, model, bmin.policy, z)
@@ -570,7 +549,7 @@ def ni_gradients(game: MarkovGame, model: RewardModel, policy_min, policy_max,
 
 def pl_constant(game: MarkovGame, policy_min, policy_max) -> float:
     """Non-uniform PL modulus (1-gamma) * (min tau / S) * min rho^2 * min pi^2."""
-    y, z = _probs(policy_min), _probs(policy_max)
+    y, z = probs(policy_min), probs(policy_max)
     tau = min(game.tau_min, game.tau_max)
     rho2 = float(np.min(game.init_dist) ** 2)
     pi2 = float(min(np.min(y), np.min(z)) ** 2)

@@ -15,7 +15,6 @@ sampler in this package consumes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +25,9 @@ __all__ = [
     "TabularPolicy",
     "effective_reward",
     "effective_reward_grad_x",
-    "game_to_json",
-    "game_from_json",
-    "reward_model_to_json",
-    "reward_model_from_json",
+    "softmax",
+    "log_softmax",
+    "probs",
 ]
 
 # Transition rows may deviate from probability simplices by at most this much.
@@ -138,19 +136,6 @@ class RewardModel:
         sig = sigmoid(self.incentive_params)
         return self.incentive_scale * sig * (1.0 - sig)
 
-    def value(self, s: int, a: int, b: int) -> float:
-        self._check_index(s, a, b)
-        return float(self.values()[s, a, b])
-
-    def grad(self, s: int, a: int, b: int) -> float:
-        self._check_index(s, a, b)
-        return float(self.grad_x()[s, a, b])
-
-    def _check_index(self, s: int, a: int, b: int):
-        S, A, B = self.base.shape
-        if not (0 <= s < S and 0 <= a < A and 0 <= b < B):
-            raise IndexError(f"index ({s},{a},{b}) out of range for shape {self.base.shape}")
-
 
 @dataclass
 class TabularPolicy:
@@ -168,27 +153,33 @@ class TabularPolicy:
         return cls(np.zeros((n_states, n_actions)))
 
     def probs_all(self) -> np.ndarray:
-        z = self.logits - self.logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(self.logits)
 
     def log_probs_all(self) -> np.ndarray:
-        z = self.logits - self.logits.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-    def probs(self, s: int) -> np.ndarray:
-        return self.probs_all()[s]
-
-    def score(self, s: int, a: int) -> np.ndarray:
-        """Gradient of log pi(a|s) in the logits: onehot(a) - pi(.|s) on row s."""
-        g = np.zeros_like(self.logits)
-        p = self.probs(s)
-        g[s] = -p
-        g[s, a] += 1.0
-        return g
+        return log_softmax(self.logits)
 
     def copy(self) -> "TabularPolicy":
         return TabularPolicy(self.logits.copy())
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax over the last axis."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def probs(policy) -> np.ndarray:
+    """Action probabilities of a TabularPolicy, or a probability array as floats."""
+    if isinstance(policy, TabularPolicy):
+        return policy.probs_all()
+    return np.asarray(policy, dtype=float)
 
 
 def effective_reward(game: MarkovGame, model: RewardModel) -> np.ndarray:
@@ -206,53 +197,3 @@ def effective_reward_grad_x(game: MarkovGame, model: RewardModel) -> np.ndarray:
     g = model.grad_x().copy()
     g[game.absorbing] = 0.0
     return g
-
-
-# --- JSON round-trip -------------------------------------------------------
-#
-# Serialization goes through Python floats, whose repr is the shortest
-# decimal string that parses back to the same f64, so round-trips are
-# bit-exact.
-
-def game_to_json(game: MarkovGame) -> str:
-    return json.dumps(
-        {
-            "transition": game.transition.tolist(),
-            "init_dist": game.init_dist.tolist(),
-            "absorbing": [bool(v) for v in game.absorbing],
-            "discount": game.discount,
-            "tau_min": game.tau_min,
-            "tau_max": game.tau_max,
-        }
-    )
-
-
-def game_from_json(text: str) -> MarkovGame:
-    d = json.loads(text)
-    return MarkovGame(
-        transition=np.array(d["transition"], dtype=float),
-        init_dist=np.array(d["init_dist"], dtype=float),
-        absorbing=np.array(d["absorbing"], dtype=bool),
-        discount=float(d["discount"]),
-        tau_min=float(d["tau_min"]),
-        tau_max=float(d["tau_max"]),
-    )
-
-
-def reward_model_to_json(model: RewardModel) -> str:
-    return json.dumps(
-        {
-            "base": model.base.tolist(),
-            "incentive_params": model.incentive_params.tolist(),
-            "incentive_scale": model.incentive_scale,
-        }
-    )
-
-
-def reward_model_from_json(text: str) -> RewardModel:
-    d = json.loads(text)
-    return RewardModel(
-        base=np.array(d["base"], dtype=float),
-        incentive_params=np.array(d["incentive_params"], dtype=float),
-        incentive_scale=float(d["incentive_scale"]),
-    )

@@ -33,6 +33,7 @@ reproducible bit-for-bit regardless of scheduling.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Protocol
@@ -54,7 +55,6 @@ PURPOSE_UL_POLICY = 4    # upper-level objective, policy gradients
 PURPOSE_OUTER_X_MAIN = 5    # incentive grad of J at (y, z~)
 PURPOSE_OUTER_X_SHADOW = 6  # incentive grad of J at (y~, z)
 PURPOSE_UL_X = 7         # upper-level objective, incentive gradient
-PURPOSE_EVAL = 8         # reserved for sampled diagnostics
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -78,7 +78,8 @@ class PandaConfig:
     trajectories feed every lower-level gradient estimate and `batch_ul`
     every upper-level one; each estimate uses its own fresh batch.  When
     `env_step_budget` is set, a run stops at the end of the first outer
-    iteration whose cumulative environment step count reaches it.
+    iteration whose cumulative environment step count reaches it.  `lam`
+    must be finite and positive, the step sizes finite and non-negative.
     """
 
     lam: float = 4.0
@@ -100,8 +101,14 @@ class PandaConfig:
             raise ValueError("inner_iters and outer_iters must be positive")
         if self.batch_traj < 1 or self.batch_ul < 1 or self.horizon < 1:
             raise ValueError("batch sizes and horizon must be positive")
-        if self.lam <= 0:
-            raise ValueError("penalty weight lam must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"penalty weight lam must be positive and finite, got {self.lam}")
+        for name in ("eta_x", "eta_theta", "eta_shadow_min", "eta_shadow_max"):
+            eta = getattr(self, name)
+            if not (math.isfinite(eta) and eta >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {eta}")
+        if self.env_step_budget is not None and self.env_step_budget < 0:
+            raise ValueError(f"env_step_budget must be non-negative, got {self.env_step_budget}")
         if self.eval_cadence < 1:
             raise ValueError("eval_cadence must be positive")
 
@@ -203,7 +210,7 @@ def exact_metrics(env: EnvBundle, state: OptimizerState, lam: float,
     v0_min = cache.v_min if cache is not None else None
     v0_max = cache.v_max if cache is not None else None
     ni = ni_gradients(env.game, model_x, state.policy_min, state.policy_max,
-                      tol=tol, v0_min=v0_min, v0_max=v0_max, method="pi")
+                      tol=tol, v0_min=v0_min, v0_max=v0_max)
     if cache is not None:
         cache.v_min, cache.v_max = ni.v_min, ni.v_max
     f_val = env.ul.value_exact(model_x, state.policy_min, state.policy_max)
@@ -412,9 +419,9 @@ def run_oracle(env: EnvBundle, cfg: PandaConfig, inner_tol: float = 1e-8,
 
     def responses(model_x):
         bmax = best_response(env.game, model_x, state.policy_min, "max",
-                             tol=br_tol, v0=ws.v_max, method="pi")
+                             tol=br_tol, v0=ws.v_max)
         bmin = best_response(env.game, model_x, state.policy_max, "min",
-                             tol=br_tol, v0=ws.v_min, method="pi")
+                             tol=br_tol, v0=ws.v_min)
         ws.v_min, ws.v_max = bmin.soft_v, bmax.soft_v
         return bmin, bmax
 

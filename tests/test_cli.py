@@ -46,6 +46,11 @@ def test_load_experiment_resolves_defaults(tmp_path):
     (lambda c: c.update(config={"outer_iters": 0}), "invalid config"),
     (lambda c: c.update(bogus_key=1), "unknown config keys"),
     (lambda c: c.update(oracle_options={"zeta": 1}), "unknown oracle_options"),
+    (lambda c: c.update(env={"name": "synthetic", "n_statez": 4}), "unknown env fields"),
+    (lambda c: c.update(config={"lam": float("nan")}), "lam must be positive and finite"),
+    (lambda c: c.update(config={"eta_x": float("inf")}), "eta_x"),
+    (lambda c: c.update(config={"eta_theta": -0.1, "env_step_budget": -5}), "eta_theta"),
+    (lambda c: c.update(config={"env_step_budget": -5}), "env_step_budget"),
 ])
 def test_load_experiment_rejects_bad_configs(tmp_path, mutate, msg):
     cfg = json.loads(write_config(tmp_path).read_text())
@@ -119,6 +124,15 @@ def test_run_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+def test_run_invalid_env_value_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PANDA_THREADS", "1")
+    path = write_config(tmp_path, env={"name": "synthetic", "discount": 1.0})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid env values") and "discount" in err
+    assert err.count("\n") == 1
 
 
 def test_compare_requires_two_optimizers(tmp_path, capsys):

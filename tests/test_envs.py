@@ -6,7 +6,6 @@ from panda.envs import (
     SyntheticSpec,
     build_sentinel,
     build_synthetic,
-    ul_value_exact,
 )
 from panda.game import TabularPolicy
 from panda.sampling import RngStream, rollout, sample_batch
@@ -56,7 +55,7 @@ def test_synthetic_ul_constant_reward_value():
     env = build_synthetic(SyntheticSpec(seed=2))
     env.ul.reward_id.base[:] = 1.0
     pmin, pmax = uniform_pols(env)
-    got = ul_value_exact(env, env.model, pmin, pmax)
+    got = env.ul.value_exact(env.model, pmin, pmax)
     assert got == pytest.approx(-(1.0 + 0.99 + 0.99 ** 2), abs=1e-12)
 
 
@@ -73,7 +72,7 @@ def test_synthetic_ul_value_against_monte_carlo():
     rng = np.random.default_rng(40)
     pmin = TabularPolicy(rng.normal(size=(5, 3)))
     pmax = TabularPolicy(rng.normal(size=(5, 3)))
-    exact = ul_value_exact(env, env.model, pmin, pmax)
+    exact = env.ul.value_exact(env.model, pmin, pmax)
 
     # vectorized episode simulation in the designer MDP
     n = 1_000_000
@@ -104,16 +103,16 @@ def test_synthetic_ul_exact_grad_finite_difference():
     for (i, j) in [(0, 0), (2, 1), (4, 2)]:
         lp = pmin.logits.copy()
         lp[i, j] += eps
-        up = ul_value_exact(env, env.model, TabularPolicy(lp), pmax)
+        up = env.ul.value_exact(env.model, TabularPolicy(lp), pmax)
         lp[i, j] -= 2 * eps
-        dn = ul_value_exact(env, env.model, TabularPolicy(lp), pmax)
+        dn = env.ul.value_exact(env.model, TabularPolicy(lp), pmax)
         fd = (up - dn) / (2 * eps)
         assert abs(fd - gmin[i, j]) <= 1e-6 + 1e-6 * abs(fd)
         lp2 = pmax.logits.copy()
         lp2[i, j] += eps
-        up = ul_value_exact(env, env.model, pmin, TabularPolicy(lp2))
+        up = env.ul.value_exact(env.model, pmin, TabularPolicy(lp2))
         lp2[i, j] -= 2 * eps
-        dn = ul_value_exact(env, env.model, pmin, TabularPolicy(lp2))
+        dn = env.ul.value_exact(env.model, pmin, TabularPolicy(lp2))
         fd = (up - dn) / (2 * eps)
         assert abs(fd - gmax[i, j]) <= 1e-6 + 1e-6 * abs(fd)
 
@@ -219,7 +218,7 @@ def test_sentinel_episode_cap():
 def test_sentinel_empty_restricted_zero_loss():
     env = build_sentinel(GridSpec(restricted=()))
     pmin, pmax = uniform_pols(env)
-    assert ul_value_exact(env, env.model, pmin, pmax) == 0.0
+    assert env.ul.value_exact(env.model, pmin, pmax) == 0.0
     v, _ = env.ul.value_estimate(env.model, pmin, pmax, 32, RngStream(7))
     assert v == 0.0
 
@@ -227,7 +226,7 @@ def test_sentinel_empty_restricted_zero_loss():
 def test_sentinel_ul_value_against_sampled_episodes():
     env = build_sentinel(GridSpec())
     pmin, pmax = uniform_pols(env)
-    exact = ul_value_exact(env, env.model, pmin, pmax)
+    exact = env.ul.value_exact(env.model, pmin, pmax)
     batch = sample_batch(env.game, env.model, pmin, pmax, 4000, env.horizon, RngStream(8))
     counts = np.array([env.ul.restricted_state[t.states].sum() for t in batch], dtype=float)
     se = counts.std(ddof=1) / np.sqrt(len(counts))
@@ -250,11 +249,11 @@ def test_sentinel_ul_exact_grad_finite_difference():
         lp2[s0, 1] -= eps
         lo = TabularPolicy(lp2)
         if order == "min":
-            fd = (ul_value_exact(env, env.model, hi, other) -
-                  ul_value_exact(env, env.model, lo, other)) / (2 * eps)
+            fd = (env.ul.value_exact(env.model, hi, other) -
+                  env.ul.value_exact(env.model, lo, other)) / (2 * eps)
         else:
-            fd = (ul_value_exact(env, env.model, other, hi) -
-                  ul_value_exact(env, env.model, other, lo)) / (2 * eps)
+            fd = (env.ul.value_exact(env.model, other, hi) -
+                  env.ul.value_exact(env.model, other, lo)) / (2 * eps)
         assert abs(fd - grad[s0, 1]) <= 1e-6 + 1e-5 * abs(fd)
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,10 +6,6 @@ from panda.game import (
     RewardModel,
     TabularPolicy,
     effective_reward,
-    game_from_json,
-    game_to_json,
-    reward_model_from_json,
-    reward_model_to_json,
 )
 from conftest import random_game
 
@@ -23,59 +17,28 @@ def test_uniform_probs_from_zero_logits():
 
 def test_constant_logit_shift_is_uniform():
     pol = TabularPolicy(np.full((1, 2), 7.3))
-    np.testing.assert_allclose(pol.probs(0), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(pol.probs_all()[0], [0.5, 0.5], atol=1e-15)
 
 
 def test_two_to_one_odds():
     pol = TabularPolicy(np.array([[np.log(2.0), 0.0]]))
-    np.testing.assert_allclose(pol.probs(0), [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
-
-
-def test_score_uniform_three_actions():
-    pol = TabularPolicy(np.zeros((1, 3)))
-    np.testing.assert_allclose(pol.score(0, 0)[0], [2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0],
-                               atol=1e-15)
-
-
-def test_score_rows_sum_to_zero_and_saturate():
-    pol = TabularPolicy(np.array([[40.0, 0.0], [0.0, 0.0]]))
-    s = pol.score(0, 0)
-    assert abs(s.sum()) < 1e-12
-    assert np.abs(s[0]).max() < 1e-12  # nearly deterministic => vanishing score
-    assert np.abs(s[1]).max() == 0.0   # untouched state contributes nothing
-
-
-def test_score_matches_log_prob_finite_difference():
-    rng = np.random.default_rng(3)
-    pol = TabularPolicy(rng.normal(size=(3, 4)))
-    eps = 1e-6
-    for (s, a) in [(0, 1), (2, 3), (1, 0)]:
-        score = pol.score(s, a)
-        for i in range(3):
-            for j in range(4):
-                lp = pol.logits.copy()
-                lp[i, j] += eps
-                up = TabularPolicy(lp).log_probs_all()[s, a]
-                lp[i, j] -= 2 * eps
-                dn = TabularPolicy(lp).log_probs_all()[s, a]
-                fd = (up - dn) / (2 * eps)
-                assert abs(fd - score[i, j]) < 1e-6 * max(1.0, abs(fd))
+    np.testing.assert_allclose(pol.probs_all()[0], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
 
 def test_reward_values_closed_form():
     base = np.full((1, 1, 1), 0.5)
     m = RewardModel(base=base, incentive_params=np.zeros((1, 1, 1)), incentive_scale=1.0)
-    assert m.value(0, 0, 0) == pytest.approx(1.0, abs=1e-15)       # 0.5 + sigmoid(0)
-    assert m.grad(0, 0, 0) == pytest.approx(0.25, abs=1e-15)       # sigmoid'(0)
+    assert m.values()[0, 0, 0] == pytest.approx(1.0, abs=1e-15)  # 0.5 + sigmoid(0)
+    assert m.grad_x()[0, 0, 0] == pytest.approx(0.25, abs=1e-15)  # sigmoid'(0)
 
     m0 = RewardModel(base=base, incentive_params=np.full((1, 1, 1), 9.0), incentive_scale=0.0)
-    assert m0.value(0, 0, 0) == pytest.approx(0.5, abs=1e-15)
-    assert m0.grad(0, 0, 0) == 0.0
+    assert m0.values()[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert m0.grad_x()[0, 0, 0] == 0.0
 
     ms = RewardModel(base=np.zeros((1, 1, 1)), incentive_params=np.full((1, 1, 1), 2.0),
                      incentive_scale=0.05)
     sig2 = 1.0 / (1.0 + np.exp(-2.0))
-    assert ms.value(0, 0, 0) == pytest.approx(0.05 * sig2, rel=1e-14)
+    assert ms.values()[0, 0, 0] == pytest.approx(0.05 * sig2, rel=1e-14)
 
 
 def test_reward_grad_finite_difference():
@@ -88,15 +51,6 @@ def test_reward_grad_finite_difference():
         xm = x.copy(); xm[idx] -= h
         fd = (m.with_params(xp).values()[idx] - m.with_params(xm).values()[idx]) / (2 * h)
         assert abs(fd - m.grad_x()[idx]) < 1e-8
-
-
-def test_reward_index_bounds():
-    m = RewardModel(base=np.zeros((2, 2, 2)), incentive_params=np.zeros((2, 2, 2)),
-                    incentive_scale=1.0)
-    with pytest.raises(IndexError):
-        m.value(2, 0, 0)
-    with pytest.raises(IndexError):
-        m.grad(0, 0, -3)
 
 
 def test_transition_row_sum_validation():
@@ -133,24 +87,3 @@ def test_effective_reward_masks_absorbing():
     r = effective_reward(game, model)
     assert np.all(r[2:] == 0.0)
     assert np.any(r[:2] != 0.0)
-
-
-def test_json_round_trip_bit_exact():
-    game, model = random_game(17, n_states=4, na=3, nb=2, n_absorbing=1)
-    g2 = game_from_json(game_to_json(game))
-    assert np.array_equal(g2.transition, game.transition)
-    assert np.array_equal(g2.init_dist, game.init_dist)
-    assert np.array_equal(g2.absorbing, game.absorbing)
-    assert g2.discount == game.discount
-    m2 = reward_model_from_json(reward_model_to_json(model))
-    assert np.array_equal(m2.base, model.base)
-    assert np.array_equal(m2.incentive_params, model.incentive_params)
-    assert m2.incentive_scale == model.incentive_scale
-    # second trip is a fixed point of the serialization
-    assert game_to_json(g2) == game_to_json(game)
-
-
-def test_json_is_plain_json():
-    game, _ = random_game(2)
-    d = json.loads(game_to_json(game))
-    assert set(d) == {"transition", "init_dist", "absorbing", "discount", "tau_min", "tau_max"}

@@ -10,7 +10,7 @@ from panda.sampling import (
     estimate_grad_x,
     estimate_gradients,
     n_env_steps,
-    q_hat,
+    reinforce,
     rollout,
     sample_batch,
 )
@@ -92,6 +92,14 @@ def test_streams_deterministic_and_order_free():
     assert any(not np.array_equal(a.states, b.states) for a, b in zip(batch, other))
 
 
+def test_uniforms_rows_match_per_trajectory_generators():
+    stream = RngStream(9)
+    u = stream.uniforms(3, 4, 5, 6, 7)
+    assert u.shape == (6, 7)
+    for i in range(6):
+        assert np.array_equal(u[i], stream.generator(3, 4, 5, i).random(7))
+
+
 def test_n_env_steps_counts_lengths():
     game, model = random_game(137, n_states=3, gamma=0.9)
     rng = np.random.default_rng(31)
@@ -101,28 +109,25 @@ def test_n_env_steps_counts_lengths():
     assert n_env_steps(batch) == 8 * 4  # no absorbing states here
 
 
-def test_q_hat_reward_to_go():
-    game, _ = single_state_game(gamma=0.5)
-    pol = TabularPolicy(np.zeros((1, 2)))  # equal temps, uniform: log terms cancel
-    traj = Trajectory(states=np.array([0, 0]), actions_min=np.array([0, 1]),
-                      actions_max=np.array([1, 0]), rewards=np.array([1.0, 2.0]))
-    assert q_hat(game, pol, pol, traj, 0) == pytest.approx(2.0, abs=1e-12)
-    assert q_hat(game, pol, pol, traj, 1) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(IndexError):
-        q_hat(game, pol, pol, traj, 2)
-
-
-def test_q_hat_single_step_is_last_regularized_reward():
-    game, model = random_game(139, n_states=3, gamma=0.9)
-    rng = np.random.default_rng(32)
-    pmin, pmax = random_policies(rng, 3, 2, 2)
-    traj = rollout(game, model, pmin, pmax, 4, RngStream(8).generator())
-    t = len(traj) - 1
-    s, a, b = traj.states[t], traj.actions_min[t], traj.actions_max[t]
-    expect = (traj.rewards[t]
-              + 0.1 * pmin.log_probs_all()[s, a]
-              - 0.1 * pmax.log_probs_all()[s, b])
-    assert q_hat(game, pmin, pmax, traj, t) == pytest.approx(expect, abs=1e-12)
+def test_reinforce_two_step_closed_form():
+    # two-step trajectory with rewards (1, 2) and gamma 0.5: reward-to-go
+    # (2, 2), discounted weights (2, 1); a one-step trajectory with reward 4
+    # weighs its score by 4; state 1 is never visited
+    trajs = [Trajectory(states=np.array([0, 0]), actions_min=np.array([0, 1]),
+                        actions_max=np.array([1, 0]), rewards=np.zeros(2)),
+             Trajectory(states=np.array([0]), actions_min=np.array([1]),
+                        actions_max=np.array([1]), rewards=np.zeros(1))]
+    step_rewards = [np.array([1.0, 2.0]), np.array([4.0])]
+    y = np.array([[0.25, 0.75], [0.5, 0.5]])
+    z = np.array([[0.5, 0.5], [0.9, 0.1]])
+    # min: (2*(e0 - y0) + (e1 - y0) + 4*(e1 - y0)) / 2
+    np.testing.assert_allclose(reinforce(trajs, step_rewards, y, "min", 0.5),
+                               [[0.125, -0.125], [0.0, 0.0]], atol=1e-15)
+    # max: (2*(e1 - z0) + (e0 - z0) + 4*(e1 - z0)) / 2
+    np.testing.assert_allclose(reinforce(trajs, step_rewards, z, "max", 0.5),
+                               [[-1.25, 1.25], [0.0, 0.0]], atol=1e-15)
+    with pytest.raises(ValueError):
+        reinforce(trajs, step_rewards, y, "both", 0.5)
 
 
 def test_estimate_grad_x_zero_scale():
