@@ -4,7 +4,8 @@ Subcommands
 -----------
 ``panda run --config exp.json --out dir [--seed S]``
     Run every (optimizer, seed) pair of the experiment and write one CSV per
-    run plus a ``manifest.json`` with the resolved configuration and timing.
+    run plus a ``<name>_manifest.json`` with the resolved configuration and
+    timing, so several experiments can share one output directory.
 
 ``panda compare --config exp.json --out dir``
     Same runs, plus a long-format CSV across optimizers and a median summary
@@ -270,7 +271,7 @@ def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list
                                       "wall_seconds", "error", "csv")}
                  for res in results],
     }
-    (out / "manifest.json").write_text(
+    (out / f"{exp.name}_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return paths
 

@@ -75,9 +75,8 @@ class SyntheticUL:
     horizon: int
 
     def _kernel_args(self, policy_min, policy_max):
-        mdp = self.mdp
-        return (mdp.transition, self.reward_id.base, mdp.init_dist, probs(policy_min),
-                probs(policy_max), self.horizon, mdp.discount, mdp.absorbing)
+        return (self.mdp, self.reward_id.base, probs(policy_min), probs(policy_max),
+                self.horizon, self.mdp.discount)
 
     def value_exact(self, model, policy_min, policy_max) -> float:
         return -finite_horizon_value(*self._kernel_args(policy_min, policy_max))
@@ -219,9 +218,8 @@ class SentinelUL:
         # is absorbing, so steps the rollout never records count nothing
         g = self.game
         stage = np.broadcast_to(self.restricted_state.astype(float)[:, None, None],
-                                g.transition.shape[:3])
-        return (g.transition, stage, g.init_dist, probs(policy_min), probs(policy_max),
-                self.horizon, 1.0, g.absorbing)
+                                (g.n_states, g.n_actions_min, g.n_actions_max))
+        return (g, stage, probs(policy_min), probs(policy_max), self.horizon, 1.0)
 
     def value_exact(self, model, policy_min, policy_max) -> float:
         return finite_horizon_value(*self._kernel_args(policy_min, policy_max))
@@ -283,17 +281,17 @@ def build_sentinel(spec: GridSpec) -> EnvBundle:
         for mv in range(n_act):
             moved[cell, mv] = clip_move(cell, mv)
 
-    transition = np.zeros((n_states, n_act, n_act, n_states))
+    # every move is deterministic: one successor per (s, a, b), the terminal
+    # unless the move lands on a live pair of cells
+    succ = np.full((n_states, n_act, n_act, 1), terminal, dtype=np.intp)
     base = np.zeros((n_states, n_act, n_act))
     for sent in range(n_cells):
         for intr in range(n_cells):
             s = sent * n_cells + intr
             if sent == intr:
-                transition[s, :, :, terminal] = 1.0
                 base[s] = spec.payoff
                 continue
             if intr == target:
-                transition[s, :, :, terminal] = 1.0
                 base[s] = -spec.payoff
                 continue
             for a in range(n_act):      # intruder (min player)
@@ -301,14 +299,11 @@ def build_sentinel(spec: GridSpec) -> EnvBundle:
                 for b in range(n_act):  # sentinel (max player)
                     sent2 = moved[sent, b]
                     if sent2 == intr2:
-                        transition[s, a, b, terminal] = 1.0
                         base[s, a, b] = spec.payoff
                     elif intr2 == target:
-                        transition[s, a, b, terminal] = 1.0
                         base[s, a, b] = -spec.payoff
                     else:
-                        transition[s, a, b, sent2 * n_cells + intr2] = 1.0
-    transition[terminal, :, :, terminal] = 1.0
+                        succ[s, a, b, 0] = sent2 * n_cells + intr2
 
     rho = np.zeros(n_states)
     sent0 = spec.cell(spec.sentinel_spawn)
@@ -317,8 +312,8 @@ def build_sentinel(spec: GridSpec) -> EnvBundle:
 
     absorbing = np.zeros(n_states, dtype=bool)
     absorbing[terminal] = True
-    game = MarkovGame(transition=transition, init_dist=rho, absorbing=absorbing,
-                      discount=spec.discount, tau_min=spec.tau, tau_max=spec.tau)
+    game = MarkovGame.from_successors(succ, np.ones(succ.shape), rho, absorbing,
+                                      spec.discount, spec.tau, spec.tau)
     model = RewardModel(base=base, incentive_params=np.zeros((n_states, n_act, n_act)),
                         incentive_scale=spec.incentive_scale)
 

@@ -181,7 +181,7 @@ def solve_state_saddle(q, tau_min, tau_max, tol=1e-10, max_iter=100_000) -> Stat
 def _folded(game: MarkovGame, r_eff, y, z):
     """Per-state reward/transition/regularizer under a fixed policy pair."""
     r_yz = np.einsum("sab,sa,sb->s", r_eff, y, z)
-    p_yz = np.einsum("sabn,sa,sb->sn", game.transition, y, z)
+    p_yz = game.fold_pair(y, z)
     h = game.tau_min * _neg_entropy(y) - game.tau_max * _neg_entropy(z)
     h[game.absorbing] = 0.0
     return r_yz, p_yz, h
@@ -205,7 +205,7 @@ def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
     """
     v = np.asarray(v, dtype=float)
     r_eff = effective_reward(game, model)
-    q = r_eff + game.discount * np.einsum("sabn,n->sab", game.transition, v)
+    q = r_eff + game.discount * game.expect(v)
     live = ~game.absorbing
     tv = game.discount * v.copy()
     y = np.full((game.n_states, game.n_actions_min), 1.0 / game.n_actions_min)
@@ -219,13 +219,19 @@ def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
     return tv, y, z
 
 
+def _solve_value(game: MarkovGame, r_yz, p_yz, h) -> np.ndarray:
+    return np.linalg.solve(np.eye(game.n_states) - game.discount * p_yz, r_yz + h)
+
+
+def _solve_visitation(game: MarkovGame, p_yz) -> np.ndarray:
+    a = np.eye(game.n_states) - game.discount * p_yz.T
+    return np.linalg.solve(a, (1.0 - game.discount) * game.init_dist)
+
+
 def policy_eval(game: MarkovGame, model: RewardModel, policy_min, policy_max) -> np.ndarray:
     """Regularized value of a fixed policy pair, by direct linear solve."""
     y, z = probs(policy_min), probs(policy_max)
-    r_eff = effective_reward(game, model)
-    r_yz, p_yz, h = _folded(game, r_eff, y, z)
-    a = np.eye(game.n_states) - game.discount * p_yz
-    return np.linalg.solve(a, r_yz + h)
+    return _solve_value(game, *_folded(game, effective_reward(game, model), y, z))
 
 
 def j_value(game: MarkovGame, model: RewardModel, policy_min, policy_max) -> float:
@@ -267,7 +273,7 @@ def solve_ne(game: MarkovGame, model: RewardModel, tol=1e-9, max_sweeps=100_000,
     res = np.inf
     inner_tol = 1e-9
     for sweep in range(1, max_sweeps + 1):
-        q = r_eff + g * np.einsum("sabn,n->sab", game.transition, v)
+        q = r_eff + g * game.expect(v)
         yl, zl, vals, _, _ = _saddle_batch(
             q[live], game.tau_min, game.tau_max, inner_tol, 100_000, warm=(ly, lz))
         ly, lz = _safe_log(yl), _safe_log(zl)
@@ -282,7 +288,7 @@ def solve_ne(game: MarkovGame, model: RewardModel, tol=1e-9, max_sweeps=100_000,
         raise ValueIterationError(float(res), max_sweeps)
 
     # Final polished saddle at the converged values.
-    q = r_eff + g * np.einsum("sabn,n->sab", game.transition, v)
+    q = r_eff + g * game.expect(v)
     y = np.full((game.n_states, na), 1.0 / na)
     z = np.full((game.n_states, nb), 1.0 / nb)
     yl, zl, _, _, _ = _saddle_batch(q[live], game.tau_min, game.tau_max, saddle_tol,
@@ -360,11 +366,11 @@ def best_response(game: MarkovGame, model: RewardModel, fixed, side,
     pi = probs(fixed)
     if side == "max":
         r_fold = np.einsum("sab,sa->sb", r_eff, pi) + game.tau_min * _neg_entropy(pi)[:, None]
-        p_fold = np.einsum("sabn,sa->sbn", game.transition, pi)
+        p_fold = game.fold_min(pi)
         tau, sign = game.tau_max, 1.0
     else:
         r_fold = -np.einsum("sab,sb->sa", r_eff, pi) + game.tau_max * _neg_entropy(pi)[:, None]
-        p_fold = np.einsum("sabn,sb->san", game.transition, pi)
+        p_fold = game.fold_max(pi)
         tau, sign = game.tau_min, -1.0
     r_fold[game.absorbing] = 0.0
     v, pol, res, sweeps = _soft_policy_iteration(r_fold, p_fold, tau, game.absorbing,
@@ -385,10 +391,7 @@ def ni_gap(game: MarkovGame, model: RewardModel, policy_min, policy_max, tol=1e-
 
 def visitation(game: MarkovGame, policy_min, policy_max) -> np.ndarray:
     """Discounted state visitation d = (1-gamma) * (I - gamma*P')^{-1} rho."""
-    y, z = probs(policy_min), probs(policy_max)
-    p_yz = np.einsum("sabn,sa,sb->sn", game.transition, y, z)
-    a = np.eye(game.n_states) - game.discount * p_yz.T
-    return np.linalg.solve(a, (1.0 - game.discount) * game.init_dist)
+    return _solve_visitation(game, game.fold_pair(probs(policy_min), probs(policy_max)))
 
 
 def _regularized_stage(game, r_eff, y, z):
@@ -413,12 +416,12 @@ def exact_grad_policy(game: MarkovGame, model: RewardModel, policy_min, policy_m
     """
     y, z = probs(policy_min), probs(policy_max)
     r_eff = effective_reward(game, model)
-    v = policy_eval(game, model, y, z)
-    d = visitation(game, y, z)
+    r_yz, p_yz, h = _folded(game, r_eff, y, z)
+    v = _solve_value(game, r_yz, p_yz, h)
+    d = _solve_visitation(game, p_yz)
     # regularized payoff plus discounted continuation, zero on absorbing
     # states: the mean of the sampled regularized reward-to-go given (s, a, b)
-    w = (_regularized_stage(game, r_eff, y, z)
-         + game.discount * np.einsum("sabn,n->sab", game.transition, v))
+    w = _regularized_stage(game, r_eff, y, z) + game.discount * game.expect(v)
     w[game.absorbing] = 0.0
     d_over = d / (1.0 - game.discount)
     if side == "min":
@@ -440,23 +443,23 @@ def exact_grad_x(game: MarkovGame, model: RewardModel, policy_min, policy_max) -
 # Finite-horizon value and policy gradient of a per-step stage reward
 # --------------------------------------------------------------------------
 
-def finite_horizon_value(transition, stage, rho, y, z, horizon, gamma, absorbing) -> float:
+def finite_horizon_value(game: MarkovGame, stage, y, z, horizon, gamma) -> float:
     """E[sum_{t<horizon} gamma^t stage(s_t, a_t, b_t)] from s_0 ~ rho under (y, z).
 
-    `stage` has shape (S, A, B).  Absorbing states end the episode and add
-    nothing.  The recursion runs on the chain folded under the policy pair,
-    one (S, S) mat-vec per step.
+    `stage` has shape (S, A, B); `gamma` need not be the game's discount.
+    Absorbing states end the episode and add nothing.  The recursion runs on
+    the chain folded under the policy pair, one (S, S) mat-vec per step.
     """
-    p_yz = np.einsum("sabn,sa,sb->sn", transition, y, z)
+    p_yz = game.fold_pair(y, z)
     u = np.einsum("sab,sa,sb->s", stage, y, z)
-    v = np.zeros(transition.shape[0])
+    v = np.zeros(game.n_states)
     for _ in range(horizon):
         v = u + gamma * (p_yz @ v)
-        v[absorbing] = 0.0
-    return float(rho @ v)
+        v[game.absorbing] = 0.0
+    return float(game.init_dist @ v)
 
 
-def finite_horizon_grad(transition, stage, rho, y, z, horizon, gamma, absorbing):
+def finite_horizon_grad(game: MarkovGame, stage, y, z, horizon, gamma):
     """Gradients of `finite_horizon_value` in both players' softmax logits.
 
     A backward recursion builds the step-t action values
@@ -464,18 +467,18 @@ def finite_horizon_grad(transition, stage, rho, y, z, horizon, gamma, absorbing)
     then weights each step's score-function rows by gamma^t times the
     step-t state distribution.  Returns (grad_min, grad_max).
     """
-    p_yz = np.einsum("sabn,sa,sb->sn", transition, y, z)
-    v_next = np.zeros(transition.shape[0])
+    p_yz = game.fold_pair(y, z)
+    v_next = np.zeros(game.n_states)
     qs = []
     for _ in range(horizon):
-        q = stage + gamma * np.einsum("sabn,n->sab", transition, v_next)
-        q[absorbing] = 0.0
+        q = stage + gamma * game.expect(v_next)
+        q[game.absorbing] = 0.0
         v_next = np.einsum("sab,sa,sb->s", q, y, z)
         qs.append(q)
 
     gmin = np.zeros_like(y)
     gmax = np.zeros_like(z)
-    pt = rho
+    pt = game.init_dist
     for t, q in enumerate(reversed(qs)):  # q holds the step-t action values
         sc = (gamma ** t) * pt
         gmin += _score_rows(y, np.einsum("sab,sb->sa", q, z), sc)
@@ -491,8 +494,7 @@ def exact_grad_policy_truncated(game: MarkovGame, model: RewardModel, policy_min
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     y, z = probs(policy_min), probs(policy_max)
     stage = _regularized_stage(game, effective_reward(game, model), y, z)
-    gmin, gmax = finite_horizon_grad(game.transition, stage, game.init_dist, y, z,
-                                     horizon, game.discount, game.absorbing)
+    gmin, gmax = finite_horizon_grad(game, stage, y, z, horizon, game.discount)
     return gmin if side == "min" else gmax
 
 
@@ -500,7 +502,7 @@ def exact_grad_x_truncated(game: MarkovGame, model: RewardModel, policy_min,
                            policy_max, horizon) -> np.ndarray:
     y, z = probs(policy_min), probs(policy_max)
     g = effective_reward_grad_x(game, model)
-    _, p_yz, _ = _folded(game, effective_reward(game, model), y, z)
+    p_yz = game.fold_pair(y, z)
     pt = game.init_dist.copy()
     grad = np.zeros_like(g)
     for t in range(horizon):

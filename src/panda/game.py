@@ -15,7 +15,8 @@ sampler in this package consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,13 +45,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
 class MarkovGame:
     """Finite simultaneous-move zero-sum Markov game.
 
+    Transitions are held as padded successor lists: ``succ[s, a, b]`` lists
+    the states reachable from s under (a, b) in increasing order and
+    ``succ_prob[s, a, b]`` their probabilities, both of shape (S, A, B, K)
+    with K the longest list (1 on a deterministic game, S on a dense one).
+    Shorter lists are padded with probability 0, each pad pointing at its
+    row's last real successor, so a sampler that caps its draw at the last
+    entry can never land on an unreachable state.  The constructor takes a
+    dense (S, A, B, S) tensor; `from_successors` takes the lists themselves,
+    and `transition` rebuilds the dense tensor on demand.
+
     Attributes:
-        transition: array of shape (S, A, B, S); ``transition[s, a, b]`` is the
-            next-state distribution.
+        succ, succ_prob: successor lists, shape (S, A, B, K).
         init_dist: initial state distribution rho, shape (S,).
         absorbing: boolean mask of absorbing states, shape (S,).  Absorbing
             states must self-loop under every action pair.
@@ -59,27 +68,50 @@ class MarkovGame:
         tau_max: entropy temperature of the maximizing player (>0).
     """
 
-    transition: np.ndarray
-    init_dist: np.ndarray
-    absorbing: np.ndarray
-    discount: float
-    tau_min: float
-    tau_max: float
-    _cum_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, transition, init_dist, absorbing, discount, tau_min, tau_max):
+        transition = np.asarray(transition, dtype=float)
+        if transition.ndim != 4 or transition.shape[3] != transition.shape[0]:
+            raise ValueError(f"transition must have shape (S,A,B,S), got {transition.shape}")
+        # negative and NaN entries are kept as successors, so that `_setup`
+        # rejects them with the messages a check of the dense input would give
+        nonzero = transition != 0.0
+        count = nonzero.sum(axis=3, keepdims=True)
+        # a stable sort on "is zero" lists the successors first, in state order
+        order = np.argsort(~nonzero, axis=3, kind="stable")[..., :max(1, int(count.max()))]
+        pad = np.arange(order.shape[3]) >= count
+        last = np.take_along_axis(order, np.maximum(count - 1, 0), axis=3)
+        self._setup(np.where(pad, last, order),
+                    np.where(pad, 0.0, np.take_along_axis(transition, order, axis=3)),
+                    init_dist, absorbing, discount, tau_min, tau_max)
 
-    def __post_init__(self):
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.init_dist = np.asarray(self.init_dist, dtype=float)
-        self.absorbing = np.asarray(self.absorbing, dtype=bool)
-        if self.transition.ndim != 4 or self.transition.shape[3] != self.transition.shape[0]:
-            raise ValueError(f"transition must have shape (S,A,B,S), got {self.transition.shape}")
-        S = self.transition.shape[0]
+    @classmethod
+    def from_successors(cls, succ, succ_prob, init_dist, absorbing, discount,
+                        tau_min, tau_max) -> "MarkovGame":
+        """Game from padded successor lists, never forming the dense tensor."""
+        game = cls.__new__(cls)
+        game._setup(succ, succ_prob, init_dist, absorbing, discount, tau_min, tau_max)
+        return game
+
+    def _setup(self, succ, succ_prob, init_dist, absorbing, discount, tau_min, tau_max):
+        self.succ = np.asarray(succ, dtype=np.intp)
+        self.succ_prob = np.asarray(succ_prob, dtype=float)
+        self.init_dist = np.asarray(init_dist, dtype=float)
+        self.absorbing = np.asarray(absorbing, dtype=bool)
+        self.discount = discount
+        self.tau_min = tau_min
+        self.tau_max = tau_max
+        if self.succ.ndim != 4 or self.succ_prob.shape != self.succ.shape:
+            raise ValueError(f"successor lists must share one (S,A,B,K) shape, got "
+                             f"{self.succ.shape} and {self.succ_prob.shape}")
+        S, A, B, _ = self.succ.shape
+        if np.any(self.succ < 0) or np.any(self.succ >= S):
+            raise ValueError("successor index out of range")
         if self.init_dist.shape != (S,) or self.absorbing.shape != (S,):
             raise ValueError("init_dist/absorbing shape mismatch with transition")
-        if np.any(self.transition < 0.0):
+        if np.any(self.succ_prob < 0.0):
             raise ValueError("transition has negative entries")
-        row_err = np.max(np.abs(self.transition.sum(axis=3) - 1.0))
-        if row_err > ROW_SUM_TOL:
+        row_err = np.max(np.abs(self.succ_prob.sum(axis=3) - 1.0))
+        if not row_err <= ROW_SUM_TOL:  # NaN fails too
             raise ValueError(f"transition rows must sum to 1 (max error {row_err:.3e})")
         if np.any(self.init_dist < 0.0) or abs(self.init_dist.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError("init_dist is not a probability vector")
@@ -88,22 +120,59 @@ class MarkovGame:
         if self.tau_min <= 0.0 or self.tau_max <= 0.0:
             raise ValueError("entropy temperatures must be positive")
         # Absorbing states must self-loop with probability one.
-        for s in np.flatnonzero(self.absorbing):
-            rows = self.transition[s]  # (A, B, S)
-            if np.max(np.abs(rows[..., s] - 1.0)) > ROW_SUM_TOL:
-                raise ValueError(f"absorbing state {s} does not self-loop")
+        s = np.arange(S)[:, None, None, None]
+        stay = np.where(self.succ == s, self.succ_prob, 0.0).sum(axis=3)
+        for state in np.flatnonzero(self.absorbing):
+            if np.max(np.abs(stay[state] - 1.0)) > ROW_SUM_TOL:
+                raise ValueError(f"absorbing state {state} does not self-loop")
+        # flat targets of the three folds below, in (s, a, b, k) order
+        self._pair_index = (s * S + self.succ).ravel()
+        self._fold_min_index = ((s * B + np.arange(B)[:, None]) * S + self.succ).ravel()
+        self._fold_max_index = ((s * A + np.arange(A)[:, None, None]) * S + self.succ).ravel()
 
     @property
     def n_states(self) -> int:
-        return self.transition.shape[0]
+        return self.succ.shape[0]
 
     @property
     def n_actions_min(self) -> int:
-        return self.transition.shape[1]
+        return self.succ.shape[1]
 
     @property
     def n_actions_max(self) -> int:
-        return self.transition.shape[2]
+        return self.succ.shape[2]
+
+    @property
+    def transition(self) -> np.ndarray:
+        """The dense (S, A, B, S) tensor, built anew on every access."""
+        p = np.zeros(self.succ.shape[:3] + (self.n_states,))
+        np.add.at(p, (*np.indices(self.succ.shape)[:3], self.succ), self.succ_prob)
+        return p
+
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        """E[v(s') | s, a, b], shape (S, A, B)."""
+        return np.einsum("sabk,sabk->sab", self.succ_prob, v[self.succ])
+
+    def _fold(self, index, weights, shape) -> np.ndarray:
+        return np.bincount(index, weights=weights.ravel(),
+                           minlength=math.prod(shape)).reshape(shape)
+
+    def fold_pair(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """State-to-state kernel under the policy pair (y, z), shape (S, S)."""
+        w = (self.succ_prob * y[:, :, None, None]) * z[:, None, :, None]
+        return self._fold(self._pair_index, w, (self.n_states,) * 2)
+
+    def fold_min(self, y: np.ndarray) -> np.ndarray:
+        """Kernel of the max player's MDP against min policy y, shape (S, B, S)."""
+        w = self.succ_prob * y[:, :, None, None]
+        S = self.n_states
+        return self._fold(self._fold_min_index, w, (S, self.n_actions_max, S))
+
+    def fold_max(self, z: np.ndarray) -> np.ndarray:
+        """Kernel of the min player's MDP against max policy z, shape (S, A, S)."""
+        w = self.succ_prob * z[:, None, :, None]
+        S = self.n_states
+        return self._fold(self._fold_max_index, w, (S, self.n_actions_min, S))
 
 
 @dataclass

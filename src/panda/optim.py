@@ -185,9 +185,17 @@ def init_state(env: EnvBundle) -> OptimizerState:
     )
 
 
-def _require_finite(arr, what, optimizer, outer, inner=None):
-    if not np.all(np.isfinite(arr)):
+def _step(params, eta, grad, what, optimizer, outer, inner=None) -> np.ndarray:
+    """`params - eta * grad`, which must be finite.
+
+    A non-finite gradient, or a step that overflows, aborts the run here,
+    before the parameters are used, so numpy never sees them overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = params - eta * grad
+    if not np.all(np.isfinite(new)):
         raise NonFiniteGradientError(what, optimizer, outer, inner)
+    return new
 
 
 @dataclass
@@ -254,10 +262,10 @@ def _penalty_inner_loop(env, cfg, state, stream, t, optimizer,
                                 "min", cfg, stream, PURPOSE_SHADOW_MIN, t, k)
         v, s2 = _sampled_j_grad(env, model_x, state.policy_min, state.shadow_max,
                                 "max", cfg, stream, PURPOSE_SHADOW_MAX, t, k)
-        _require_finite(u, "min-shadow", optimizer, t, k)
-        _require_finite(v, "max-shadow", optimizer, t, k)
-        shadow_min = TabularPolicy(state.shadow_min.logits - cfg.eta_shadow_min * u)
-        shadow_max = TabularPolicy(state.shadow_max.logits + cfg.eta_shadow_max * v)
+        shadow_min = TabularPolicy(_step(state.shadow_min.logits, cfg.eta_shadow_min, u,
+                                         "min-shadow", optimizer, t, k))
+        shadow_max = TabularPolicy(_step(state.shadow_max.logits, cfg.eta_shadow_max, -v,
+                                         "max-shadow", optimizer, t, k))
 
         f_gmin, f_gmax, s3 = env.ul.grad_policies_estimate(
             model_x, state.policy_min, state.policy_max, cfg.batch_ul,
@@ -268,11 +276,10 @@ def _penalty_inner_loop(env, cfg, state, stream, t, optimizer,
                                       "max", cfg, stream, PURPOSE_PENALTY_MAX, t, k)
         gmin = f_scale * f_gmin + pen_scale * pen_min
         gmax = f_scale * f_gmax - pen_scale * pen_max
-        _require_finite(gmin, "min-policy", optimizer, t, k)
-        _require_finite(gmax, "max-policy", optimizer, t, k)
-
-        state.policy_min = TabularPolicy(state.policy_min.logits - cfg.eta_theta * gmin)
-        state.policy_max = TabularPolicy(state.policy_max.logits - cfg.eta_theta * gmax)
+        state.policy_min = TabularPolicy(_step(state.policy_min.logits, cfg.eta_theta, gmin,
+                                               "min-policy", optimizer, t, k))
+        state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, gmax,
+                                               "max-policy", optimizer, t, k))
         state.shadow_min, state.shadow_max = shadow_min, shadow_max
         state.env_steps += s1 + s2 + s3 + s4 + s5
 
@@ -288,8 +295,7 @@ def _incentive_step(env, cfg, state, stream, t, optimizer):
                                       cfg.batch_ul, stream,
                                       purpose=PURPOSE_UL_X, outer=t)
     ell = f_gx + cfg.lam * (g_main - g_shadow)
-    _require_finite(ell, "incentive", optimizer, t)
-    state.x = state.x - cfg.eta_x * ell
+    state.x = _step(state.x, cfg.eta_x, ell, "incentive", optimizer, t)
     state.env_steps += s1 + s2 + s3
 
 
@@ -389,16 +395,15 @@ def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
                                     "min", cfg, stream, PURPOSE_SHADOW_MIN, t, k)
             v, s2 = _sampled_j_grad(env, model_x, state.policy_min, state.policy_max,
                                     "max", cfg, stream, PURPOSE_SHADOW_MAX, t, k)
-            _require_finite(u, "min-policy", "alternating", t, k)
-            _require_finite(v, "max-policy", "alternating", t, k)
-            state.policy_min = TabularPolicy(state.policy_min.logits - cfg.eta_theta * u)
-            state.policy_max = TabularPolicy(state.policy_max.logits + cfg.eta_theta * v)
+            state.policy_min = TabularPolicy(_step(state.policy_min.logits, cfg.eta_theta, u,
+                                                   "min-policy", "alternating", t, k))
+            state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, -v,
+                                                   "max-policy", "alternating", t, k))
             state.env_steps += s1 + s2
         f_gx, s3 = env.ul.grad_x_estimate(model_x, state.policy_min, state.policy_max,
                                           cfg.batch_ul, stream,
                                           purpose=PURPOSE_UL_X, outer=t)
-        _require_finite(f_gx, "incentive", "alternating", t)
-        state.x = state.x - cfg.eta_x * f_gx
+        state.x = _step(state.x, cfg.eta_x, f_gx, "incentive", "alternating", t)
         state.env_steps += s3
 
     return _metrics_loop(env, cfg, state, step)
@@ -437,10 +442,10 @@ def run_oracle(env: EnvBundle, cfg: PandaConfig, inner_tol: float = 1e-8,
                                         bmin.policy, state.policy_max, "max")
             gmin = f_gmin / cfg.lam + pen_min
             gmax = f_gmax / cfg.lam - pen_max
-            _require_finite(gmin, "min-policy", "oracle", t, k)
-            _require_finite(gmax, "max-policy", "oracle", t, k)
-            state.policy_min = TabularPolicy(state.policy_min.logits - cfg.eta_theta * gmin)
-            state.policy_max = TabularPolicy(state.policy_max.logits - cfg.eta_theta * gmax)
+            state.policy_min = TabularPolicy(_step(state.policy_min.logits, cfg.eta_theta, gmin,
+                                                   "min-policy", "oracle", t, k))
+            state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, gmax,
+                                                   "max-policy", "oracle", t, k))
             step_size = max(cfg.eta_theta * np.abs(gmin).max(),
                             cfg.eta_theta * np.abs(gmax).max())
             if step_size <= inner_tol:
@@ -452,8 +457,7 @@ def run_oracle(env: EnvBundle, cfg: PandaConfig, inner_tol: float = 1e-8,
         ell = f_gx + cfg.lam * (
             exact_grad_x(env.game, model_x, state.policy_min, bmax.policy)
             - exact_grad_x(env.game, model_x, bmin.policy, state.policy_max))
-        _require_finite(ell, "incentive", "oracle", t)
-        state.x = state.x - cfg.eta_x * ell
+        state.x = _step(state.x, cfg.eta_x, ell, "incentive", "oracle", t)
 
     return _metrics_loop(env, cfg, state, step)
 

@@ -90,14 +90,6 @@ class Trajectory:
         return len(self.states)
 
 
-def _cumulative(game: MarkovGame):
-    cache = game._cum_cache
-    if "p" not in cache:
-        cache["p"] = np.cumsum(game.transition, axis=-1)
-        cache["rho"] = np.cumsum(game.init_dist)
-    return cache["p"], cache["rho"]
-
-
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Indices drawn by uniforms `u` from cumulative rows `cum`.
 
@@ -106,6 +98,11 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     side="right"), capped at the last one against rounding in the row sums.
     """
     return np.minimum((cum <= u[:, None]).sum(axis=-1), cum.shape[-1] - 1)
+
+
+def _successors(game: MarkovGame, s, a, b, u) -> np.ndarray:
+    """Next states drawn by uniforms `u` over the successor lists of (s, a, b)."""
+    return game.succ[s, a, b, _pick(np.cumsum(game.succ_prob[s, a, b], axis=-1), u)]
 
 
 def rollout(game: MarkovGame, model: RewardModel, policy_min, policy_max,
@@ -124,7 +121,6 @@ def _rollout_batch(game, r_eff, cum_y, cum_z, horizon, us) -> list[Trajectory]:
     (min action, max action, next state) per step.  Trajectories drop out of
     the batch once they enter an absorbing state.
     """
-    cum_p, cum_rho = _cumulative(game)
     n = len(us)
     states = np.zeros((n, horizon), dtype=np.intp)
     amin = np.zeros_like(states)
@@ -132,7 +128,7 @@ def _rollout_batch(game, r_eff, cum_y, cum_z, horizon, us) -> list[Trajectory]:
     rewards = np.zeros((n, horizon))
     lengths = np.full(n, horizon)
     live = np.arange(n)
-    s = _pick(cum_rho, us[:, 0])
+    s = _pick(np.cumsum(game.init_dist), us[:, 0])
     for t in range(horizon):
         if live.size == 0:
             break
@@ -141,7 +137,7 @@ def _rollout_batch(game, r_eff, cum_y, cum_z, horizon, us) -> list[Trajectory]:
         b = _pick(cum_z[s], us[live, k + 1])
         states[live, t], amin[live, t], amax[live, t] = s, a, b
         rewards[live, t] = r_eff[s, a, b]
-        s = _pick(cum_p[s, a, b], us[live, k + 2])
+        s = _successors(game, s, a, b, us[live, k + 2])
         ended = game.absorbing[s]
         lengths[live[ended]] = t + 1
         live, s = live[~ended], s[~ended]

@@ -35,6 +35,18 @@ def random_game(seed, n_states=3, na=2, nb=2, gamma=0.9, tau_min=0.1, tau_max=0.
     return game, model
 
 
+def gapped_transition():
+    """Three states, rows of one to three successors with zero entries between them; state 2 absorbs."""
+    p = np.zeros((3, 2, 2, 3))
+    p[0, 0, 0] = [0.25, 0.0, 0.75]
+    p[0, 0, 1] = [0.0, 1.0, 0.0]
+    p[0, 1, 0] = [0.1, 0.2, 0.7]
+    p[0, 1, 1] = [0.0, 0.3, 0.7]
+    p[1, :, :] = [0.6, 0.0, 0.4]
+    p[2, :, :, 2] = 1.0
+    return p
+
+
 def random_policies(rng, n_states, na, nb, spread=1.0):
     from panda.game import TabularPolicy
     return (TabularPolicy(rng.normal(0.0, spread, size=(n_states, na))),

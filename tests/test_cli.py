@@ -71,7 +71,7 @@ def test_run_writes_csv_per_seed_and_manifest(tmp_path, monkeypatch):
         assert header == "outer_iter,env_steps,ul_objective,ne_gap,grad_norm,wall_ms"
         assert len(rows) == 2  # outer_iters rows
         assert all(r.endswith(",0") for r in rows)  # wall column zeroed
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "exp_manifest.json").read_text())
     assert manifest["config"]["lam"] == 4.0
     assert manifest["seeds"] == [0, 1]
     assert len(manifest["runs"]) == 2
@@ -184,7 +184,7 @@ def test_nonfinite_run_exits_3_with_partial_csv(tmp_path, monkeypatch, capsys):
     header, rows = read_csv(out / "exp_panda_seed0.csv")
     assert header.startswith("outer_iter")
     assert len(rows) < 6  # aborted before completing all iterations
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "exp_manifest.json").read_text())
     assert manifest["runs"][0]["error"]
 
 

@@ -166,6 +166,12 @@ def test_sentinel_ascii_map():
     ]
 
 
+def test_sentinel_rows_have_one_certain_successor():
+    game = build_sentinel(GridSpec()).game
+    assert game.succ.shape == (626, 5, 5, 1)
+    assert np.all(game.succ_prob == 1.0)
+
+
 def test_sentinel_capture_and_target_transitions():
     spec = GridSpec()
     env = build_sentinel(spec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_game, random_policies
-from panda.envs import EnvBundle, SyntheticSpec, build_synthetic
+from panda.envs import EnvBundle, GridSpec, SyntheticSpec, build_sentinel, build_synthetic
 from panda.exact import ni_gap, ni_gradients, solve_ne
 from panda.game import TabularPolicy
 from panda.optim import (
@@ -129,8 +129,10 @@ def test_outputs_pinned_across_versions():
     The literals were captured from an earlier version of the package, so a
     change in float summation order along these paths (exact gradients, soft
     policy iteration, sampling, the REINFORCE loop) shows up here even though
-    reruns of one version stay identical.  ul_objective is not pinned: its
-    last bits differ from those of the version the literals come from.
+    reruns of one version stay identical.  The synthetic ul_objective is not
+    pinned: its last bits differ from those of the version the literals come
+    from.  The sentinel run pins the successor-list kernels and the grid
+    sampler, ul_objective included.
     """
     env = build_synthetic(SyntheticSpec(seed=0))
     oracle = run_oracle(env, PandaConfig(outer_iters=2, eta_x=3.0, eta_theta=1.0,
@@ -150,6 +152,15 @@ def test_outputs_pinned_across_versions():
         rows, digest = expected[name]
         assert [(r.env_steps, r.ni_gap, r.grad_norm) for r in res.records] == rows, name
         assert _state_digest(res.state) == digest, name
+
+    grid = run_panda(build_sentinel(GridSpec()),
+                     PandaConfig(outer_iters=2, inner_iters=1, batch_traj=8, batch_ul=4,
+                                 horizon=20, eval_cadence=1, seed=0))
+    assert [(r.env_steps, r.ul_objective, r.ni_gap, r.grad_norm) for r in grid.records] == [
+        (822, 6.123835740127621, 17.47564824419193, 1.0824955099813915),
+        (1733, 6.003298260565904, 17.47875095785694, 1.0473653855170013)]
+    assert _state_digest(grid.state) == (
+        "7bbc057abb06bd5affdf4a05dbb8f8919652ab6a0a5f800124edd2e74ed6db25")
 
 
 def test_seed_changes_the_run():

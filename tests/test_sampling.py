@@ -5,6 +5,7 @@ from panda.game import MarkovGame, RewardModel, TabularPolicy
 from panda.exact import exact_grad_policy_truncated, exact_grad_x_truncated
 from panda.sampling import (
     RngStream,
+    _successors,
     Trajectory,
     estimate_grad_policy,
     estimate_grad_x,
@@ -14,7 +15,7 @@ from panda.sampling import (
     rollout,
     sample_batch,
 )
-from conftest import random_game, random_policies
+from conftest import gapped_transition, random_game, random_policies
 
 
 def single_state_game(gamma=0.9):
@@ -239,3 +240,30 @@ def test_variance_scales_inversely_with_batch():
     v8 = total_variance(8, 3000, 1)
     ratio = v1 / (8 * v8)
     assert 0.8 <= ratio <= 1.25, ratio
+
+
+def test_successor_draws_match_dense_searchsorted():
+    p = gapped_transition()
+    game = MarkovGame(p, np.array([0.5, 0.5, 0.0]), np.array([False, False, True]),
+                      0.9, 0.1, 0.1)
+    rng = np.random.default_rng(9)
+    for s, a, b in np.ndindex(p.shape[:3]):
+        cum = np.cumsum(p[s, a, b])
+        # random draws, every cumulative value, and the floats just below them
+        u = np.concatenate([rng.random(200), [0.0], cum[:-1],
+                            np.nextafter(cum, 0.0)])
+        u = u[u < cum[-1]]
+        n = len(u)
+        got = _successors(game, np.full(n, s), np.full(n, a), np.full(n, b), u)
+        assert np.array_equal(got, np.searchsorted(cum, u, side="right")), (s, a, b)
+
+
+def test_successor_draw_past_a_short_row_sum_stays_on_a_successor():
+    # a row summing to just under one: a draw above its sum takes the last
+    # real successor, never a zero-probability pad
+    succ = np.array([[[[0, 1, 1]]], [[[1, 1, 1]]]])
+    prob = np.array([[[[0.5, 0.5 - 1e-12, 0.0]]], [[[1.0, 0.0, 0.0]]]])
+    game = MarkovGame.from_successors(succ, prob, np.array([1.0, 0.0]),
+                                      np.array([False, True]), 0.9, 0.1, 0.1)
+    zero = np.zeros(1, np.intp)
+    assert _successors(game, zero, zero, zero, np.array([1.0 - 1e-13])).tolist() == [1]
