@@ -161,8 +161,12 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid config values: {e}") from e
 
+    name = raw.get("name", path.stem)
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f'"name" must be a plain file name, got {name!r}')
+
     return ExperimentConfig(
-        name=raw.get("name", path.stem),
+        name=name,
         env_name=env_name, env_overrides=env_overrides,
         optimizers=list(optimizers), seeds=list(seeds),
         base=base, overrides={k: dict(v) for k, v in overrides.items()},

@@ -95,17 +95,15 @@ class SyntheticUL:
     def value_estimate(self, model, policy_min, policy_max, batch,
                        stream: RngStream, purpose=0, outer=0, inner=0):
         trajs = self._sample(policy_min, policy_max, batch, stream, purpose, outer, inner)
-        gamma = self.mdp.discount
-        vals = [-(t.rewards * gamma ** np.arange(len(t))).sum() for t in trajs]
+        vals = -(trajs.rewards * self.mdp.discount ** np.arange(self.horizon)).sum(axis=1)
         return float(np.mean(vals)), n_env_steps(trajs)
 
     def grad_policies_estimate(self, model, policy_min, policy_max, batch,
                                stream: RngStream, purpose=0, outer=0, inner=0):
         trajs = self._sample(policy_min, policy_max, batch, stream, purpose, outer, inner)
-        rewards = [t.rewards for t in trajs]
         gamma = self.mdp.discount
-        gmin = -reinforce(trajs, rewards, probs(policy_min), "min", gamma)
-        gmax = -reinforce(trajs, rewards, probs(policy_max), "max", gamma)
+        gmin = -reinforce(trajs, trajs.rewards, probs(policy_min), "min", gamma)
+        gmax = -reinforce(trajs, trajs.rewards, probs(policy_max), "max", gamma)
         return gmin, gmax, n_env_steps(trajs)
 
     def grad_x_estimate(self, model, policy_min, policy_max, batch,
@@ -230,21 +228,21 @@ class SentinelUL:
     def grad_x_exact(self, model, policy_min, policy_max) -> np.ndarray:
         return np.zeros_like(model.incentive_params)
 
-    def _counts(self, traj):
-        return self.restricted_state[traj.states].astype(float)
+    def _counts(self, trajs):
+        # padded steps sit on state 0, which may itself be restricted
+        return (self.restricted_state[trajs.states] & trajs.mask).astype(float)
 
     def value_estimate(self, model, policy_min, policy_max, batch,
                        stream: RngStream, purpose=0, outer=0, inner=0):
         trajs = sample_batch(self.game, model, policy_min, policy_max, batch,
                              self.horizon, stream, purpose, outer, inner)
-        vals = [self._counts(t).sum() for t in trajs]
-        return float(np.mean(vals)), n_env_steps(trajs)
+        return float(np.mean(self._counts(trajs).sum(axis=1))), n_env_steps(trajs)
 
     def grad_policies_estimate(self, model, policy_min, policy_max, batch,
                                stream: RngStream, purpose=0, outer=0, inner=0):
         trajs = sample_batch(self.game, model, policy_min, policy_max, batch,
                              self.horizon, stream, purpose, outer, inner)
-        counts = [self._counts(t) for t in trajs]
+        counts = self._counts(trajs)
         gmin = reinforce(trajs, counts, probs(policy_min), "min", 1.0)
         gmax = reinforce(trajs, counts, probs(policy_max), "max", 1.0)
         return gmin, gmax, n_env_steps(trajs)

@@ -79,7 +79,9 @@ class PandaConfig:
     every upper-level one; each estimate uses its own fresh batch.  When
     `env_step_budget` is set, a run stops at the end of the first outer
     iteration whose cumulative environment step count reaches it.  `lam`
-    must be finite and positive, the step sizes finite and non-negative.
+    must be finite and positive, the step sizes finite and non-negative, and
+    the counts (iterations, batch sizes, horizon, seed, cadence, budget)
+    integers.
     """
 
     lam: float = 4.0
@@ -97,6 +99,14 @@ class PandaConfig:
     env_step_budget: int | None = None
 
     def __post_init__(self):
+        counts = ["inner_iters", "outer_iters", "batch_traj", "batch_ul", "horizon",
+                  "seed", "eval_cadence"]
+        if self.env_step_budget is not None:
+            counts.append("env_step_budget")
+        for name in counts:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.inner_iters < 1 or self.outer_iters < 1:
             raise ValueError("inner_iters and outer_iters must be positive")
         if self.batch_traj < 1 or self.batch_ul < 1 or self.horizon < 1:
@@ -231,14 +241,22 @@ def exact_metrics(env: EnvBundle, state: OptimizerState, lam: float,
     return ExactMetrics(ul_objective=float(f_val), ni_gap=float(ni.gap), grad_norm=norm)
 
 
+def _step_policies(state, cfg, gmin, gmax, optimizer, outer, inner) -> None:
+    """Descend the policy pair's logits along (gmin, gmax) with step `eta_theta`."""
+    state.policy_min = TabularPolicy(_step(state.policy_min.logits, cfg.eta_theta, gmin,
+                                           "min-policy", optimizer, outer, inner))
+    state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, gmax,
+                                           "max-policy", optimizer, outer, inner))
+
+
 def _sampled_j_grad(env, model_x: RewardModel, policy_min, policy_max, side: str,
                     cfg: PandaConfig, stream: RngStream, purpose: int,
                     outer: int, inner: int):
     """Fresh-batch policy-gradient estimate of J in one variable block."""
-    trajs = sample_batch(env.game, model_x, policy_min, policy_max,
+    batch = sample_batch(env.game, model_x, policy_min, policy_max,
                          cfg.batch_traj, cfg.horizon, stream, purpose, outer, inner)
     est = estimate_gradients(env.game, model_x, policy_min, policy_max,
-                             trajs, want=(side,))
+                             batch, want=(side,))
     grad = {"min": est.grad_min, "max": est.grad_max, "x": est.grad_x}[side]
     return grad, est.n_env_steps
 
@@ -276,10 +294,7 @@ def _penalty_inner_loop(env, cfg, state, stream, t, optimizer,
                                       "max", cfg, stream, PURPOSE_PENALTY_MAX, t, k)
         gmin = f_scale * f_gmin + pen_scale * pen_min
         gmax = f_scale * f_gmax - pen_scale * pen_max
-        state.policy_min = TabularPolicy(_step(state.policy_min.logits, cfg.eta_theta, gmin,
-                                               "min-policy", optimizer, t, k))
-        state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, gmax,
-                                               "max-policy", optimizer, t, k))
+        _step_policies(state, cfg, gmin, gmax, optimizer, t, k)
         state.shadow_min, state.shadow_max = shadow_min, shadow_max
         state.env_steps += s1 + s2 + s3 + s4 + s5
 
@@ -395,10 +410,7 @@ def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
                                     "min", cfg, stream, PURPOSE_SHADOW_MIN, t, k)
             v, s2 = _sampled_j_grad(env, model_x, state.policy_min, state.policy_max,
                                     "max", cfg, stream, PURPOSE_SHADOW_MAX, t, k)
-            state.policy_min = TabularPolicy(_step(state.policy_min.logits, cfg.eta_theta, u,
-                                                   "min-policy", "alternating", t, k))
-            state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, -v,
-                                                   "max-policy", "alternating", t, k))
+            _step_policies(state, cfg, u, -v, "alternating", t, k)
             state.env_steps += s1 + s2
         f_gx, s3 = env.ul.grad_x_estimate(model_x, state.policy_min, state.policy_max,
                                           cfg.batch_ul, stream,
@@ -442,10 +454,7 @@ def run_oracle(env: EnvBundle, cfg: PandaConfig, inner_tol: float = 1e-8,
                                         bmin.policy, state.policy_max, "max")
             gmin = f_gmin / cfg.lam + pen_min
             gmax = f_gmax / cfg.lam - pen_max
-            state.policy_min = TabularPolicy(_step(state.policy_min.logits, cfg.eta_theta, gmin,
-                                                   "min-policy", "oracle", t, k))
-            state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, gmax,
-                                                   "max-policy", "oracle", t, k))
+            _step_policies(state, cfg, gmin, gmax, "oracle", t, k)
             step_size = max(cfg.eta_theta * np.abs(gmin).max(),
                             cfg.eta_theta * np.abs(gmax).max())
             if step_size <= inner_tol:

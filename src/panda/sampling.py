@@ -1,4 +1,4 @@
-"""Trajectory sampling and score-function gradient estimators.
+"""Batched trajectory sampling and score-function gradient estimators.
 
 Sampling is organized around counter-based RNG: every trajectory gets its own
 Philox stream derived from (seed, purpose, outer, inner, trajectory index),
@@ -9,7 +9,9 @@ visited at most once (only when the initial draw lands on one, in which case
 a single zero-reward step is recorded).  A batch is stepped together, one
 vectorized pass per time step, each trajectory reading only its own
 pre-drawn uniforms, so the trajectories are those a one-at-a-time walk on
-the same streams would give.
+the same streams would give.  A batch is returned as one `TrajBatch`:
+(B, H) arrays zero-padded past each trajectory's length, which every
+estimator reads as they are.
 
 All policy-gradient estimates go through one REINFORCE loop, `reinforce`,
 which weights each step's score by the discounted reward-to-go of whatever
@@ -31,7 +33,7 @@ from .game import (MarkovGame, RewardModel, TabularPolicy, effective_reward,
 
 __all__ = [
     "RngStream",
-    "Trajectory",
+    "TrajBatch",
     "GradEstimate",
     "rollout",
     "sample_batch",
@@ -79,15 +81,28 @@ class RngStream:
         return out
 
 
-@dataclass
-class Trajectory:
+@dataclass(frozen=True)
+class TrajBatch:
+    """A batch of trajectories as (B, H) arrays, H the rollout horizon.
+
+    Row i holds trajectory i's first `lengths[i]` steps.  The columns past
+    its length hold state 0, actions 0 and reward 0, so a step quantity
+    derived from the states must be masked with `mask`.
+    """
+
     states: np.ndarray
     actions_min: np.ndarray
     actions_max: np.ndarray
     rewards: np.ndarray
+    lengths: np.ndarray
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(B, H) bool, True on each trajectory's recorded steps."""
+        return np.arange(self.states.shape[1]) < self.lengths[:, None]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.lengths)
 
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -106,15 +121,15 @@ def _successors(game: MarkovGame, s, a, b, u) -> np.ndarray:
 
 
 def rollout(game: MarkovGame, model: RewardModel, policy_min, policy_max,
-            horizon: int, rng: np.random.Generator) -> Trajectory:
-    """Sample one trajectory of at most `horizon` recorded steps."""
+            horizon: int, rng: np.random.Generator) -> TrajBatch:
+    """Sample one trajectory of at most `horizon` recorded steps, as a one-row batch."""
     r_eff = effective_reward(game, model)
     return _rollout_batch(game, r_eff, np.cumsum(probs(policy_min), axis=1),
                           np.cumsum(probs(policy_max), axis=1), horizon,
-                          rng.random(1 + 3 * horizon)[None])[0]
+                          rng.random(1 + 3 * horizon)[None])
 
 
-def _rollout_batch(game, r_eff, cum_y, cum_z, horizon, us) -> list[Trajectory]:
+def _rollout_batch(game, r_eff, cum_y, cum_z, horizon, us) -> TrajBatch:
     """Step all trajectories of a batch together.
 
     Row i of `us` holds trajectory i's uniforms: the initial state, then
@@ -141,14 +156,12 @@ def _rollout_batch(game, r_eff, cum_y, cum_z, horizon, us) -> list[Trajectory]:
         ended = game.absorbing[s]
         lengths[live[ended]] = t + 1
         live, s = live[~ended], s[~ended]
-    return [Trajectory(states[i, :m].copy(), amin[i, :m].copy(), amax[i, :m].copy(),
-                       rewards[i, :m].copy())
-            for i, m in enumerate(lengths)]
+    return TrajBatch(states, amin, amax, rewards, lengths)
 
 
 def sample_batch(game: MarkovGame, model: RewardModel, policy_min, policy_max,
                  batch: int, horizon: int, stream: RngStream, purpose: int = 0,
-                 outer: int = 0, inner: int = 0) -> list[Trajectory]:
+                 outer: int = 0, inner: int = 0) -> TrajBatch:
     """Sample `batch` independent trajectories on dedicated per-index streams."""
     r_eff = effective_reward(game, model)
     return _rollout_batch(game, r_eff, np.cumsum(probs(policy_min), axis=1),
@@ -156,53 +169,41 @@ def sample_batch(game: MarkovGame, model: RewardModel, policy_min, policy_max,
                           stream.uniforms(purpose, outer, inner, batch, 1 + 3 * horizon))
 
 
-def n_env_steps(trajs) -> int:
-    return int(sum(len(t) for t in trajs))
+def n_env_steps(batch: TrajBatch) -> int:
+    return int(batch.lengths.sum())
 
 
-def _padded(rows, dtype=float):
-    """Stack 1-D arrays row-wise, zero-padded to the longest; returns (array, mask)."""
-    lengths = np.array([len(r) for r in rows], dtype=np.intp)
-    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    out = np.zeros(mask.shape, dtype=dtype)
-    if len(rows):
-        out[mask] = np.concatenate(rows)
-    return out, mask
-
-
-def _reg_rewards(game: MarkovGame, lp_y, lp_z, trajs) -> np.ndarray:
-    """Padded per-step regularized rewards r + tau_min*log y - tau_max*log z, masked."""
-    s, mask = _padded([t.states for t in trajs], np.intp)
-    a, _ = _padded([t.actions_min for t in trajs], np.intp)
-    b, _ = _padded([t.actions_max for t in trajs], np.intp)
-    r, _ = _padded([t.rewards for t in trajs])
-    u = r + game.tau_min * lp_y[s, a] - game.tau_max * lp_z[s, b]
-    u[game.absorbing[s] | ~mask] = 0.0
+def _reg_rewards(game: MarkovGame, lp_y, lp_z, batch: TrajBatch) -> np.ndarray:
+    """Per-step regularized rewards r + tau_min*log y - tau_max*log z, zero past each length."""
+    s, a, b = batch.states, batch.actions_min, batch.actions_max
+    u = batch.rewards + game.tau_min * lp_y[s, a] - game.tau_max * lp_z[s, b]
+    u[game.absorbing[s] | ~batch.mask] = 0.0
     return u
 
 
-def reinforce(trajs, step_rewards, probs, side: str, gamma: float) -> np.ndarray:
+def reinforce(batch: TrajBatch, step_rewards: np.ndarray, probs, side: str,
+              gamma: float) -> np.ndarray:
     """Batch-mean REINFORCE gradient sum_t gamma^t score_t * reward-to-go_t.
 
-    `step_rewards[i]` holds the per-step rewards of `trajs[i]` (a list of
-    arrays, or an array zero-padded past each trajectory's end); `probs`
-    (S, K) is the acting player's policy on `side` ("min" or "max"), whose
-    softmax logits the gradient is taken in.  The whole batch is processed
-    at once; the gradient entries are accumulated trajectory by trajectory
-    in step order, as a per-trajectory loop would.
+    `step_rewards` (B, H) holds the per-step rewards of the batch's
+    trajectories and must be zero past each trajectory's length, since the
+    reward-to-go sums the whole row; `probs` (S, K) is the acting player's
+    policy on `side` ("min" or "max"), whose softmax logits the gradient is
+    taken in.  The whole batch is processed at once; the gradient entries
+    are accumulated trajectory by trajectory in step order, as a
+    per-trajectory loop would.
     """
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'min' or 'max', got {side!r}")
-    s, mask = _padded([t.states for t in trajs], np.intp)
-    acts, _ = _padded([t.actions_min if side == "min" else t.actions_max for t in trajs],
-                      np.intp)
-    u = step_rewards if isinstance(step_rewards, np.ndarray) else _padded(step_rewards)[0]
+    s = batch.states
+    acts = batch.actions_min if side == "min" else batch.actions_max
+    mask = batch.mask
     n, h = s.shape
     k = probs.shape[1]
     g = np.zeros((n, h))
     acc = np.zeros(n)
     for t in range(h - 1, -1, -1):
-        acc = u[:, t] + gamma * acc
+        acc = step_rewards[:, t] + gamma * acc
         g[:, t] = acc
     w = g * gamma ** np.arange(h)
     # per trajectory: its chosen-action entries, then its -w*pi rows
@@ -212,28 +213,27 @@ def reinforce(trajs, step_rewards, probs, side: str, gamma: float) -> np.ndarray
     sel = np.concatenate([mask, np.repeat(mask, k, axis=1)], axis=1)
     grad = np.zeros(probs.size)
     np.add.at(grad, idx[sel], val[sel])
-    return grad.reshape(probs.shape) / len(trajs)
+    return grad.reshape(probs.shape) / len(batch)
 
 
 def estimate_grad_policy(game: MarkovGame, policy_min: TabularPolicy,
-                         policy_max: TabularPolicy, trajs, side: str) -> np.ndarray:
+                         policy_max: TabularPolicy, batch: TrajBatch, side: str) -> np.ndarray:
     """Batch-mean REINFORCE gradient of J in one player's logits."""
     lp_y = policy_min.log_probs_all()
     lp_z = policy_max.log_probs_all()
-    return reinforce(trajs, _reg_rewards(game, lp_y, lp_z, trajs),
+    return reinforce(batch, _reg_rewards(game, lp_y, lp_z, batch),
                      np.exp(lp_y if side == "min" else lp_z), side, game.discount)
 
 
-def estimate_grad_x(game: MarkovGame, model: RewardModel, trajs) -> np.ndarray:
+def estimate_grad_x(game: MarkovGame, model: RewardModel, batch: TrajBatch) -> np.ndarray:
     """Batch-mean gradient of J in the incentive parameters."""
     gx = effective_reward_grad_x(game, model)
-    s, mask = _padded([t.states for t in trajs], np.intp)
-    a, _ = _padded([t.actions_min for t in trajs], np.intp)
-    b, _ = _padded([t.actions_max for t in trajs], np.intp)
+    s, a, b = batch.states, batch.actions_min, batch.actions_max
+    mask = batch.mask
     w = gx[s, a, b] * game.discount ** np.arange(s.shape[1])
     grad = np.zeros(gx.size)
     np.add.at(grad, np.ravel_multi_index((s, a, b), gx.shape)[mask], w[mask])
-    return grad.reshape(gx.shape) / len(trajs)
+    return grad.reshape(gx.shape) / len(batch)
 
 
 @dataclass
@@ -245,11 +245,11 @@ class GradEstimate:
 
 
 def estimate_gradients(game: MarkovGame, model: RewardModel, policy_min: TabularPolicy,
-                       policy_max: TabularPolicy, trajs,
+                       policy_max: TabularPolicy, batch: TrajBatch,
                        want=("x", "min", "max")) -> GradEstimate:
     return GradEstimate(
-        grad_x=estimate_grad_x(game, model, trajs) if "x" in want else None,
-        grad_min=estimate_grad_policy(game, policy_min, policy_max, trajs, "min") if "min" in want else None,
-        grad_max=estimate_grad_policy(game, policy_min, policy_max, trajs, "max") if "max" in want else None,
-        n_env_steps=n_env_steps(trajs),
+        grad_x=estimate_grad_x(game, model, batch) if "x" in want else None,
+        grad_min=estimate_grad_policy(game, policy_min, policy_max, batch, "min") if "min" in want else None,
+        grad_max=estimate_grad_policy(game, policy_min, policy_max, batch, "max") if "max" in want else None,
+        n_env_steps=n_env_steps(batch),
     )

@@ -51,6 +51,15 @@ def test_load_experiment_resolves_defaults(tmp_path):
     (lambda c: c.update(config={"eta_x": float("inf")}), "eta_x"),
     (lambda c: c.update(config={"eta_theta": -0.1, "env_step_budget": -5}), "eta_theta"),
     (lambda c: c.update(config={"env_step_budget": -5}), "env_step_budget"),
+    (lambda c: c.update(config={"inner_iters": 1.5}), "inner_iters must be an integer"),
+    (lambda c: c.update(config={"horizon": True}), "horizon must be an integer"),
+    (lambda c: c.update(config={"env_step_budget": 1e5}), "env_step_budget must be an integer"),
+    (lambda c: c.update(optimizer_overrides={"panda": {"batch_ul": 2.0}}),
+     "batch_ul must be an integer"),
+    (lambda c: c.update(name="../escaped"), "plain file name"),
+    (lambda c: c.update(name=".."), "plain file name"),
+    (lambda c: c.update(name=""), "plain file name"),
+    (lambda c: c.update(name=7), "plain file name"),
 ])
 def test_load_experiment_rejects_bad_configs(tmp_path, mutate, msg):
     cfg = json.loads(write_config(tmp_path).read_text())
@@ -133,6 +142,19 @@ def test_run_invalid_env_value_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid env values") and "discount" in err
     assert err.count("\n") == 1
+
+
+def test_run_name_cannot_leave_out_dir(tmp_path, capsys):
+    cfg = json.loads(write_config(tmp_path).read_text())
+    cfg["name"] = "../escaped"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out" / "sub"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "name" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "exp.json"]
 
 
 def test_compare_requires_two_optimizers(tmp_path, capsys):

@@ -7,8 +7,9 @@ from panda.envs import (
     build_sentinel,
     build_synthetic,
 )
-from panda.game import TabularPolicy
-from panda.sampling import RngStream, rollout, sample_batch
+from panda.game import TabularPolicy, effective_reward_grad_x
+from panda.sampling import (RngStream, estimate_grad_policy, estimate_grad_x, rollout,
+                            sample_batch)
 
 
 def uniform_pols(env):
@@ -210,15 +211,16 @@ def test_sentinel_spawn_capture_single_step():
                        game.tau_min, game.tau_max)
     pmin, pmax = uniform_pols(env)
     traj = rollout(game2, env.model, pmin, pmax, spec.max_steps, RngStream(5).generator())
-    assert len(traj) == 1
-    assert traj.rewards[0] == pytest.approx(10.0 + 0.05 * 0.5, abs=1e-12)
+    assert traj.lengths.tolist() == [1]
+    assert traj.rewards[0, 0] == pytest.approx(10.0 + 0.05 * 0.5, abs=1e-12)
 
 
 def test_sentinel_episode_cap():
     env = build_sentinel(GridSpec())
     pmin, pmax = uniform_pols(env)
     batch = sample_batch(env.game, env.model, pmin, pmax, 64, env.horizon, RngStream(6))
-    assert max(len(t) for t in batch) <= 20
+    assert batch.states.shape == (64, 20)
+    assert batch.lengths.max() <= 20
 
 
 def test_sentinel_empty_restricted_zero_loss():
@@ -234,7 +236,8 @@ def test_sentinel_ul_value_against_sampled_episodes():
     pmin, pmax = uniform_pols(env)
     exact = env.ul.value_exact(env.model, pmin, pmax)
     batch = sample_batch(env.game, env.model, pmin, pmax, 4000, env.horizon, RngStream(8))
-    counts = np.array([env.ul.restricted_state[t.states].sum() for t in batch], dtype=float)
+    counts = np.array([env.ul.restricted_state[s[:m]].sum()
+                       for s, m in zip(batch.states, batch.lengths)], dtype=float)
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - exact) <= 4 * se + 1e-9
 
@@ -279,3 +282,65 @@ def test_sentinel_ul_estimator_unbiased():
         se = m.std(axis=0, ddof=1) / np.sqrt(len(chunks))
         err = np.abs(m.mean(axis=0) - exact[env.game.init_dist > 0].reshape(-1))
         assert np.all(err <= 4 * se + 1e-6), (err.max(), se.max())
+
+
+def _per_row_reinforce(batch, rewards, pol, side, gamma):
+    """REINFORCE batch mean from a loop over rows, reading only [:lengths[i]]."""
+    probs = pol.probs_all()
+    grad = np.zeros_like(probs)
+    acts = batch.actions_min if side == "min" else batch.actions_max
+    for i, m in enumerate(batch.lengths):
+        s, a, u = batch.states[i, :m], acts[i, :m], rewards[i][:m]
+        for t in range(m):
+            ret = sum(gamma ** (j - t) * u[j] for j in range(t, m))
+            score = -probs[s[t]]
+            score[a[t]] += 1.0
+            grad[s[t]] += gamma ** t * ret * score
+    return grad / len(batch)
+
+
+def test_padded_steps_never_leak():
+    # the restricted band holds state 0 (both players on cell (0,0)), which
+    # is also what every padded step records
+    env = build_sentinel(GridSpec(restricted=((0, 0),) + GridSpec().restricted))
+    game, model = env.game, env.model
+    assert env.ul.restricted_state[0]
+    rng = np.random.default_rng(47)
+    pmin = TabularPolicy(0.3 * rng.normal(size=(game.n_states, 5)))
+    pmax = TabularPolicy(0.3 * rng.normal(size=(game.n_states, 5)))
+    coords = dict(purpose=4, outer=2, inner=1)
+    batch = sample_batch(game, model, pmin, pmax, 64, env.horizon, RngStream(48), **coords)
+    assert (batch.lengths < env.horizon).any() and (batch.lengths == env.horizon).any()
+
+    # upper level: the sentinel's restricted-step counts
+    counts = [env.ul.restricted_state[batch.states[i, :m]].astype(float)
+              for i, m in enumerate(batch.lengths)]
+    v, steps = env.ul.value_estimate(model, pmin, pmax, 64, RngStream(48), **coords)
+    assert steps == sum(batch.lengths)
+    assert v == pytest.approx(np.mean([c.sum() for c in counts]), abs=1e-12)
+    gmin, gmax, _ = env.ul.grad_policies_estimate(model, pmin, pmax, 64, RngStream(48),
+                                                  **coords)
+    np.testing.assert_allclose(gmin, _per_row_reinforce(batch, counts, pmin, "min", 1.0),
+                               rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(gmax, _per_row_reinforce(batch, counts, pmax, "max", 1.0),
+                               rtol=1e-10, atol=1e-12)
+
+    # lower level: regularized rewards and the incentive gradient
+    lp_y, lp_z = pmin.log_probs_all(), pmax.log_probs_all()
+    reg = []
+    for i, m in enumerate(batch.lengths):
+        s, a, b = batch.states[i, :m], batch.actions_min[i, :m], batch.actions_max[i, :m]
+        u = batch.rewards[i, :m] + game.tau_min * lp_y[s, a] - game.tau_max * lp_z[s, b]
+        reg.append(np.where(game.absorbing[s], 0.0, u))
+    for pol, side in ((pmin, "min"), (pmax, "max")):
+        np.testing.assert_allclose(
+            estimate_grad_policy(game, pmin, pmax, batch, side),
+            _per_row_reinforce(batch, reg, pol, side, game.discount), rtol=1e-10, atol=1e-12)
+    gx = effective_reward_grad_x(game, model)
+    ref_x = np.zeros_like(gx)
+    for i, m in enumerate(batch.lengths):
+        for t in range(m):
+            sab = batch.states[i, t], batch.actions_min[i, t], batch.actions_max[i, t]
+            ref_x[sab] += game.discount ** t * gx[sab]
+    np.testing.assert_allclose(estimate_grad_x(game, model, batch), ref_x / len(batch),
+                               rtol=1e-10, atol=1e-15)

@@ -68,10 +68,13 @@ def test_config_validation():
     nan, inf = float("nan"), float("inf")
     for bad in ({"lam": nan}, {"lam": inf}, {"eta_x": inf}, {"eta_theta": -1.0},
                 {"eta_shadow_min": nan}, {"eta_shadow_max": -inf},
-                {"env_step_budget": -1}):
+                {"env_step_budget": -1}, {"inner_iters": 1.5}, {"outer_iters": True},
+                {"batch_traj": 2.0}, {"batch_ul": "4"}, {"horizon": 3.0}, {"seed": 0.5},
+                {"eval_cadence": False}, {"env_step_budget": 1e5}):
         with pytest.raises(ValueError):
             PandaConfig(**bad)
     PandaConfig(eta_x=0.0, eta_theta=0.0, env_step_budget=0)  # boundaries are valid
+    PandaConfig(outer_iters=np.int64(3), seed=np.int64(2))  # numpy integers are integers
 
 
 def test_zero_learning_rates_leave_state_fixed():

@@ -6,7 +6,7 @@ from panda.exact import exact_grad_policy_truncated, exact_grad_x_truncated
 from panda.sampling import (
     RngStream,
     _successors,
-    Trajectory,
+    TrajBatch,
     estimate_grad_policy,
     estimate_grad_x,
     estimate_gradients,
@@ -30,10 +30,12 @@ def test_rollout_fixed_horizon_single_state():
     game, model = single_state_game()
     pol = TabularPolicy(np.zeros((1, 2)))
     traj = rollout(game, model, pol, pol, 3, RngStream(0).generator())
-    assert len(traj) == 3
+    assert len(traj) == 1
+    assert traj.lengths.tolist() == [3]
     assert np.all(traj.states == 0)
     for t in range(3):
-        assert traj.rewards[t] == model.values()[0, traj.actions_min[t], traj.actions_max[t]]
+        assert traj.rewards[0, t] == model.values()[0, traj.actions_min[0, t],
+                                                    traj.actions_max[0, t]]
 
 
 def test_rollout_absorbing_start_single_step():
@@ -44,8 +46,8 @@ def test_rollout_absorbing_start_single_step():
                         incentive_scale=0.0)
     traj = rollout(game, model, TabularPolicy(np.zeros((1, 2))),
                    TabularPolicy(np.zeros((1, 2))), 5, RngStream(1).generator())
-    assert len(traj) == 1
-    assert traj.rewards[0] == 0.0  # absorbing states pay nothing
+    assert traj.lengths.tolist() == [1]
+    assert traj.rewards[0, 0] == 0.0  # absorbing states pay nothing
 
 
 def test_rollout_stops_on_entering_absorbing():
@@ -59,15 +61,20 @@ def test_rollout_stops_on_entering_absorbing():
                         incentive_scale=0.0)
     pol = TabularPolicy(np.zeros((2, 1)))
     traj = rollout(game, model, pol, pol, 10, RngStream(2).generator())
-    assert len(traj) == 1
-    assert traj.states[0] == 0
-    assert traj.rewards[0] == 7.0
+    assert traj.lengths.tolist() == [1]
+    assert traj.states[0, 0] == 0
+    assert traj.rewards[0, 0] == 7.0
+    # the columns past the length are padding: state 0, action 0, reward 0
+    assert traj.states.shape == traj.rewards.shape == (1, 10)
+    assert traj.mask.tolist() == [[True] + [False] * 9]
+    assert not traj.rewards[0, 1:].any() and not traj.actions_min[0, 1:].any()
 
 
 def test_rollout_respects_policy():
     game, model = single_state_game()
     det = TabularPolicy(np.array([[50.0, 0.0]]))
     traj = rollout(game, model, det, det, 20, RngStream(3).generator())
+    assert traj.lengths.tolist() == [20]
     assert np.all(traj.actions_min == 0)
     assert np.all(traj.actions_max == 0)
 
@@ -79,18 +86,20 @@ def test_streams_deterministic_and_order_free():
     stream = RngStream(42)
     batch = sample_batch(game, model, pmin, pmax, 10, 6, stream, purpose=2, outer=5, inner=1)
     again = sample_batch(game, model, pmin, pmax, 10, 6, stream, purpose=2, outer=5, inner=1)
-    for a, b in zip(batch, again):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.actions_min, b.actions_min)
-        assert np.array_equal(a.actions_max, b.actions_max)
-        assert np.array_equal(a.rewards, b.rewards)
+    assert len(batch) == 10 and batch.states.shape == (10, 6)
+    assert np.array_equal(batch.states, again.states)
+    assert np.array_equal(batch.actions_min, again.actions_min)
+    assert np.array_equal(batch.actions_max, again.actions_max)
+    assert np.array_equal(batch.rewards, again.rewards)
+    assert np.array_equal(batch.lengths, again.lengths)
     # trajectory 7 regenerated in isolation matches its in-batch copy
     solo = rollout(game, model, pmin, pmax, 6, stream.generator(2, 5, 1, 7))
-    assert np.array_equal(solo.states, batch[7].states)
-    assert np.array_equal(solo.rewards, batch[7].rewards)
+    assert solo.lengths[0] == batch.lengths[7]
+    assert np.array_equal(solo.states[0], batch.states[7])
+    assert np.array_equal(solo.rewards[0], batch.rewards[7])
     # different coordinates give different draws
     other = sample_batch(game, model, pmin, pmax, 10, 6, stream, purpose=3, outer=5, inner=1)
-    assert any(not np.array_equal(a.states, b.states) for a, b in zip(batch, other))
+    assert not np.array_equal(batch.states, other.states)
 
 
 def test_uniforms_rows_match_per_trajectory_generators():
@@ -106,7 +115,7 @@ def test_n_env_steps_counts_lengths():
     rng = np.random.default_rng(31)
     pmin, pmax = random_policies(rng, 3, 2, 2)
     batch = sample_batch(game, model, pmin, pmax, 8, 4, RngStream(7))
-    assert n_env_steps(batch) == sum(len(t) for t in batch)
+    assert n_env_steps(batch) == batch.mask.sum()
     assert n_env_steps(batch) == 8 * 4  # no absorbing states here
 
 
@@ -114,11 +123,12 @@ def test_reinforce_two_step_closed_form():
     # two-step trajectory with rewards (1, 2) and gamma 0.5: reward-to-go
     # (2, 2), discounted weights (2, 1); a one-step trajectory with reward 4
     # weighs its score by 4; state 1 is never visited
-    trajs = [Trajectory(states=np.array([0, 0]), actions_min=np.array([0, 1]),
-                        actions_max=np.array([1, 0]), rewards=np.zeros(2)),
-             Trajectory(states=np.array([0]), actions_min=np.array([1]),
-                        actions_max=np.array([1]), rewards=np.zeros(1))]
-    step_rewards = [np.array([1.0, 2.0]), np.array([4.0])]
+    # (the second row's padded step holds state 0, action 0, reward 0)
+    trajs = TrajBatch(states=np.array([[0, 0], [0, 0]]),
+                      actions_min=np.array([[0, 1], [1, 0]]),
+                      actions_max=np.array([[1, 0], [1, 0]]),
+                      rewards=np.zeros((2, 2)), lengths=np.array([2, 1]))
+    step_rewards = np.array([[1.0, 2.0], [4.0, 0.0]])
     y = np.array([[0.25, 0.75], [0.5, 0.5]])
     z = np.array([[0.5, 0.5], [0.9, 0.1]])
     # min: (2*(e0 - y0) + (e1 - y0) + 4*(e1 - y0)) / 2
