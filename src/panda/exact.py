@@ -407,6 +407,31 @@ def _score_rows(pi, avg_w, weight):
     return weight[:, None] * pi * (avg_w - inner)
 
 
+def _pair_terms(game, r_eff, y, z):
+    """Visitation weights d/(1-gamma) and continuation payoffs w of a policy pair.
+
+    w(s,a,b) is the regularized payoff plus the discounted continuation,
+    zero on absorbing states: the mean of the sampled regularized
+    reward-to-go given (s, a, b).
+    """
+    r_yz, p_yz, h = _folded(game, r_eff, y, z)
+    v = _solve_value(game, r_yz, p_yz, h)
+    d = _solve_visitation(game, p_yz)
+    w = _regularized_stage(game, r_eff, y, z) + game.discount * game.expect(v)
+    w[game.absorbing] = 0.0
+    return d / (1.0 - game.discount), w
+
+
+def _grad_policy(y, z, d_over, w, side):
+    if side == "min":
+        return _score_rows(y, np.einsum("sab,sb->sa", w, z), d_over)
+    return _score_rows(z, np.einsum("sab,sa->sb", w, y), d_over)
+
+
+def _grad_x(y, z, d_over, g):
+    return d_over[:, None, None] * y[:, :, None] * z[:, None, :] * g
+
+
 def exact_grad_policy(game: MarkovGame, model: RewardModel, policy_min, policy_max, side) -> np.ndarray:
     """Exact gradient of J in one player's softmax logits.
 
@@ -414,29 +439,18 @@ def exact_grad_policy(game: MarkovGame, model: RewardModel, policy_min, policy_m
     with the regularized continuation weight, so it matches the expectation
     of the sampled reward-to-go estimator at infinite horizon.
     """
+    if side not in ("min", "max"):
+        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     y, z = probs(policy_min), probs(policy_max)
-    r_eff = effective_reward(game, model)
-    r_yz, p_yz, h = _folded(game, r_eff, y, z)
-    v = _solve_value(game, r_yz, p_yz, h)
-    d = _solve_visitation(game, p_yz)
-    # regularized payoff plus discounted continuation, zero on absorbing
-    # states: the mean of the sampled regularized reward-to-go given (s, a, b)
-    w = _regularized_stage(game, r_eff, y, z) + game.discount * game.expect(v)
-    w[game.absorbing] = 0.0
-    d_over = d / (1.0 - game.discount)
-    if side == "min":
-        return _score_rows(y, np.einsum("sab,sb->sa", w, z), d_over)
-    if side == "max":
-        return _score_rows(z, np.einsum("sab,sa->sb", w, y), d_over)
-    raise ValueError(f"side must be 'min' or 'max', got {side!r}")
+    d_over, w = _pair_terms(game, effective_reward(game, model), y, z)
+    return _grad_policy(y, z, d_over, w, side)
 
 
 def exact_grad_x(game: MarkovGame, model: RewardModel, policy_min, policy_max) -> np.ndarray:
     """Exact gradient of J in the incentive parameters x, shape (S, A, B)."""
     y, z = probs(policy_min), probs(policy_max)
     d = visitation(game, y, z)
-    g = effective_reward_grad_x(game, model)
-    return (d / (1.0 - game.discount))[:, None, None] * y[:, :, None] * z[:, None, :] * g
+    return _grad_x(y, z, d / (1.0 - game.discount), effective_reward_grad_x(game, model))
 
 
 # --------------------------------------------------------------------------
@@ -540,9 +554,14 @@ def ni_gradients(game: MarkovGame, model: RewardModel, policy_min, policy_max,
     y, z = probs(policy_min), probs(policy_max)
     bmax = best_response(game, model, y, "max", tol=tol, v0=v0_max)
     bmin = best_response(game, model, z, "min", tol=tol, v0=v0_min)
-    grad_min = exact_grad_policy(game, model, y, bmax.policy, "min")
-    grad_max = -exact_grad_policy(game, model, bmin.policy, z, "max")
-    grad_x = exact_grad_x(game, model, y, bmax.policy) - exact_grad_x(game, model, bmin.policy, z)
+    # one value and one visitation solve per pair serve both of its gradients
+    r_eff = effective_reward(game, model)
+    d_max, w_max = _pair_terms(game, r_eff, y, bmax.policy)
+    d_min, w_min = _pair_terms(game, r_eff, bmin.policy, z)
+    g = effective_reward_grad_x(game, model)
+    grad_min = _grad_policy(y, bmax.policy, d_max, w_max, "min")
+    grad_max = -_grad_policy(bmin.policy, z, d_min, w_min, "max")
+    grad_x = _grad_x(y, bmax.policy, d_max, g) - _grad_x(bmin.policy, z, d_min, g)
     return NIGradients(gap=bmax.j_value - bmin.j_value, grad_min=grad_min,
                        grad_max=grad_max, grad_x=grad_x, br_min=bmin.policy,
                        br_max=bmax.policy, j1=bmax.j_value, j2=bmin.j_value,

@@ -16,6 +16,7 @@ sampler in this package consumes.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,8 @@ class MarkovGame:
         return game
 
     def _setup(self, succ, succ_prob, init_dist, absorbing, discount, tau_min, tau_max):
-        self.succ = np.asarray(succ, dtype=np.intp)
-        self.succ_prob = np.asarray(succ_prob, dtype=float)
+        self.succ = np.ascontiguousarray(succ, dtype=np.intp)
+        self.succ_prob = np.ascontiguousarray(succ_prob, dtype=float)
         self.init_dist = np.asarray(init_dist, dtype=float)
         self.absorbing = np.asarray(absorbing, dtype=bool)
         self.discount = discount
@@ -180,7 +181,8 @@ class RewardModel:
     """Stage payoff ``base + scale * sigmoid(x)`` with design variable x.
 
     The model is treated as immutable; :meth:`with_params` produces a view
-    with new incentive parameters sharing the base tensor.
+    with new incentive parameters sharing the base tensor.  Its masked
+    reward tables (see `effective_reward`) are kept with it, one per game.
     """
 
     base: np.ndarray
@@ -192,6 +194,7 @@ class RewardModel:
         self.incentive_params = np.asarray(self.incentive_params, dtype=float)
         if self.base.shape != self.incentive_params.shape:
             raise ValueError("base and incentive_params shapes differ")
+        self._tables = weakref.WeakKeyDictionary()
 
     def with_params(self, x: np.ndarray) -> "RewardModel":
         return RewardModel(self.base, x, self.incentive_scale)
@@ -252,12 +255,19 @@ def probs(policy) -> np.ndarray:
 
 
 def effective_reward(game: MarkovGame, model: RewardModel) -> np.ndarray:
-    """Reward tensor with absorbing-state rows zeroed out."""
-    r = model.values()
-    if r.shape != (game.n_states, game.n_actions_min, game.n_actions_max):
-        raise ValueError("reward tensor shape does not match game")
-    r = r.copy()
-    r[game.absorbing] = 0.0
+    """Reward tensor with absorbing-state rows zeroed out.
+
+    The table is built on the first call for a (game, model) pair; every
+    later call returns that same array, which is read-only.
+    """
+    r = model._tables.get(game)
+    if r is None:
+        r = model.values()
+        if r.shape != (game.n_states, game.n_actions_min, game.n_actions_max):
+            raise ValueError("reward tensor shape does not match game")
+        r[game.absorbing] = 0.0
+        r.flags.writeable = False
+        model._tables[game] = r
     return r
 
 

@@ -34,6 +34,7 @@ reproducible bit-for-bit regardless of scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Protocol
@@ -79,9 +80,9 @@ class PandaConfig:
     every upper-level one; each estimate uses its own fresh batch.  When
     `env_step_budget` is set, a run stops at the end of the first outer
     iteration whose cumulative environment step count reaches it.  `lam`
-    must be finite and positive, the step sizes finite and non-negative, and
-    the counts (iterations, batch sizes, horizon, seed, cadence, budget)
-    integers.
+    must be finite and positive, the step sizes finite and non-negative (all
+    five real numbers, not booleans), and the counts (iterations, batch
+    sizes, horizon, seed, cadence, budget) integers.
     """
 
     lam: float = 4.0
@@ -111,6 +112,10 @@ class PandaConfig:
             raise ValueError("inner_iters and outer_iters must be positive")
         if self.batch_traj < 1 or self.batch_ul < 1 or self.horizon < 1:
             raise ValueError("batch sizes and horizon must be positive")
+        for name in ("lam", "eta_x", "eta_theta", "eta_shadow_min", "eta_shadow_max"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"penalty weight lam must be positive and finite, got {self.lam}")
         for name in ("eta_x", "eta_theta", "eta_shadow_min", "eta_shadow_max"):

@@ -105,57 +105,79 @@ class TrajBatch:
         return len(self.lengths)
 
 
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums of probability rows along the last axis, each row's last entry +inf."""
+    cum = np.cumsum(p, axis=-1)
+    cum[..., -1] = np.inf
+    return cum
+
+
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Indices drawn by uniforms `u` from cumulative rows `cum`.
+    """Indices drawn by uniforms `u` from rows `cum` of `_cumulative`.
 
     `cum` is one row per entry of `u`, or a single row shared by all.  The
-    index is the number of cumulative values <= u (searchsorted with
-    side="right"), capped at the last one against rounding in the row sums.
+    rows are nondecreasing, so the first entry > u is at the number of
+    entries <= u (searchsorted with side="right"); the +inf ending caps the
+    index at the last entry against rounding in the row sums.
     """
-    return np.minimum((cum <= u[:, None]).sum(axis=-1), cum.shape[-1] - 1)
+    return (cum > u[:, None]).argmax(axis=-1)
 
 
-def _successors(game: MarkovGame, s, a, b, u) -> np.ndarray:
-    """Next states drawn by uniforms `u` over the successor lists of (s, a, b)."""
-    return game.succ[s, a, b, _pick(np.cumsum(game.succ_prob[s, a, b], axis=-1), u)]
+def _successors(game: MarkovGame, sab, u) -> np.ndarray:
+    """Next states drawn by uniforms `u` over the successor lists of flat (s, a, b) indices.
+
+    A game whose lists hold one successor each needs no draw.
+    """
+    k = game.succ.shape[3]
+    succ = game.succ.reshape(-1, k)
+    if k == 1:
+        return succ[sab, 0]
+    return succ[sab, _pick(_cumulative(game.succ_prob.reshape(-1, k)[sab]), u)]
 
 
 def rollout(game: MarkovGame, model: RewardModel, policy_min, policy_max,
             horizon: int, rng: np.random.Generator) -> TrajBatch:
     """Sample one trajectory of at most `horizon` recorded steps, as a one-row batch."""
-    r_eff = effective_reward(game, model)
-    return _rollout_batch(game, r_eff, np.cumsum(probs(policy_min), axis=1),
-                          np.cumsum(probs(policy_max), axis=1), horizon,
+    return _rollout_batch(game, model, policy_min, policy_max, horizon,
                           rng.random(1 + 3 * horizon)[None])
 
 
-def _rollout_batch(game, r_eff, cum_y, cum_z, horizon, us) -> TrajBatch:
+def _rollout_batch(game, model, policy_min, policy_max, horizon, us) -> TrajBatch:
     """Step all trajectories of a batch together.
 
     Row i of `us` holds trajectory i's uniforms: the initial state, then
-    (min action, max action, next state) per step.  Trajectories drop out of
-    the batch once they enter an absorbing state.
+    (min action, max action, next state) per step.  Every row is stepped
+    while any trajectory is running; a trajectory ends once it enters an
+    absorbing state, and the steps recorded past its end are zeroed at the
+    end.
     """
     n = len(us)
-    states = np.zeros((n, horizon), dtype=np.intp)
-    amin = np.zeros_like(states)
-    amax = np.zeros_like(states)
-    rewards = np.zeros((n, horizon))
+    _, na, nb, _ = game.succ.shape
+    r_flat = effective_reward(game, model).ravel()
+    cum_y, cum_z = _cumulative(probs(policy_min)), _cumulative(probs(policy_max))
+    states = np.empty((n, horizon), dtype=np.intp)
+    amin = np.empty_like(states)
+    amax = np.empty_like(states)
+    rewards = np.empty((n, horizon))
     lengths = np.full(n, horizon)
-    live = np.arange(n)
-    s = _pick(np.cumsum(game.init_dist), us[:, 0])
+    running = np.ones(n, dtype=bool)
+    s = _pick(_cumulative(game.init_dist), us[:, 0])
     for t in range(horizon):
-        if live.size == 0:
-            break
         k = 1 + 3 * t
-        a = _pick(cum_y[s], us[live, k])
-        b = _pick(cum_z[s], us[live, k + 1])
-        states[live, t], amin[live, t], amax[live, t] = s, a, b
-        rewards[live, t] = r_eff[s, a, b]
-        s = _successors(game, s, a, b, us[live, k + 2])
-        ended = game.absorbing[s]
-        lengths[live[ended]] = t + 1
-        live, s = live[~ended], s[~ended]
+        a = _pick(cum_y[s], us[:, k])
+        b = _pick(cum_z[s], us[:, k + 1])
+        states[:, t], amin[:, t], amax[:, t] = s, a, b
+        sab = (s * na + a) * nb + b
+        rewards[:, t] = r_flat[sab]
+        s = _successors(game, sab, us[:, k + 2])
+        ended = running & game.absorbing[s]
+        lengths[ended] = t + 1
+        running &= ~ended
+        if not running.any():
+            break
+    pad = np.arange(horizon) >= lengths[:, None]
+    for steps in (states, amin, amax, rewards):
+        steps[pad] = 0
     return TrajBatch(states, amin, amax, rewards, lengths)
 
 
@@ -163,9 +185,7 @@ def sample_batch(game: MarkovGame, model: RewardModel, policy_min, policy_max,
                  batch: int, horizon: int, stream: RngStream, purpose: int = 0,
                  outer: int = 0, inner: int = 0) -> TrajBatch:
     """Sample `batch` independent trajectories on dedicated per-index streams."""
-    r_eff = effective_reward(game, model)
-    return _rollout_batch(game, r_eff, np.cumsum(probs(policy_min), axis=1),
-                          np.cumsum(probs(policy_max), axis=1), horizon,
+    return _rollout_batch(game, model, policy_min, policy_max, horizon,
                           stream.uniforms(purpose, outer, inner, batch, 1 + 3 * horizon))
 
 

@@ -49,6 +49,10 @@ def test_load_experiment_resolves_defaults(tmp_path):
     (lambda c: c.update(env={"name": "synthetic", "n_statez": 4}), "unknown env fields"),
     (lambda c: c.update(config={"lam": float("nan")}), "lam must be positive and finite"),
     (lambda c: c.update(config={"eta_x": float("inf")}), "eta_x"),
+    (lambda c: c.update(config={"lam": True}), "lam must be a real number"),
+    (lambda c: c.update(config={"eta_x": True}), "eta_x must be a real number"),
+    (lambda c: c.update(optimizer_overrides={"panda": {"eta_shadow_max": "0.1"}}),
+     "eta_shadow_max must be a real number"),
     (lambda c: c.update(config={"eta_theta": -0.1, "env_step_budget": -5}), "eta_theta"),
     (lambda c: c.update(config={"env_step_budget": -5}), "env_step_budget"),
     (lambda c: c.update(config={"inner_iters": 1.5}), "inner_iters must be an integer"),

@@ -511,6 +511,23 @@ def test_truncated_grads_converge_to_full():
 
 # --- gap gradients and the PL inequality -----------------------------------
 
+def test_ni_gradients_equal_the_separate_gradient_calls():
+    # ni_gradients shares each best-response pair's solves between its two
+    # gradients; the results must be those of the separate public calls, bit for bit
+    for seed, n_absorbing in ((111, 0), (112, 1), (113, 2)):
+        game, model = random_game(seed, n_states=5, na=2, nb=3, gamma=0.9,
+                                  n_absorbing=n_absorbing)
+        pmin, pmax = random_policies(np.random.default_rng(seed), 5, 2, 3, spread=2.0)
+        res = ni_gradients(game, model, pmin, pmax, tol=1e-10)
+        y, z = pmin.probs_all(), pmax.probs_all()
+        assert np.array_equal(res.grad_min,
+                              exact_grad_policy(game, model, y, res.br_max, "min"))
+        assert np.array_equal(res.grad_max,
+                              -exact_grad_policy(game, model, res.br_min, z, "max"))
+        assert np.array_equal(res.grad_x, exact_grad_x(game, model, y, res.br_max)
+                              - exact_grad_x(game, model, res.br_min, z))
+
+
 def test_ni_gradients_match_finite_difference():
     game, model = random_game(109, n_states=3, na=2, nb=2, gamma=0.85)
     rng = np.random.default_rng(25)

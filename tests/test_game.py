@@ -93,6 +93,25 @@ def test_effective_reward_masks_absorbing():
     assert np.any(r[:2] != 0.0)
 
 
+def test_effective_reward_is_one_read_only_table_per_game_and_model():
+    game, model = random_game(6, n_states=4, n_absorbing=1)
+    other, _ = random_game(7, n_states=4, n_absorbing=2)
+    r = effective_reward(game, model)
+    assert effective_reward(game, model) is r
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0, 0, 0] = 1.0
+    # a model with new parameters, and another game, each get a table of their own
+    moved = model.with_params(model.incentive_params + 1.0)
+    r_moved = effective_reward(game, moved)
+    r_other = effective_reward(other, model)
+    assert r_moved is not r and r_other is not r
+    assert np.array_equal(r_moved, np.where(game.absorbing[:, None, None], 0.0, moved.values()))
+    assert np.array_equal(r_other, np.where(other.absorbing[:, None, None], 0.0, model.values()))
+    assert effective_reward(game, model) is r  # still there after the other game's call
+    assert np.array_equal(r, np.where(game.absorbing[:, None, None], 0.0, model.values()))
+
+
 def _gapped_game():
     return MarkovGame(gapped_transition(), np.array([0.5, 0.5, 0.0]),
                       np.array([False, False, True]), 0.9, 0.1, 0.2)

@@ -1,10 +1,15 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import panda
 from conftest import random_game, random_policies
-from panda.envs import EnvBundle, GridSpec, SyntheticSpec, build_sentinel, build_synthetic
+from panda.envs import EnvBundle, SyntheticSpec, build_synthetic
 from panda.exact import ni_gap, ni_gradients, solve_ne
 from panda.game import TabularPolicy
 from panda.optim import (
@@ -70,11 +75,15 @@ def test_config_validation():
                 {"eta_shadow_min": nan}, {"eta_shadow_max": -inf},
                 {"env_step_budget": -1}, {"inner_iters": 1.5}, {"outer_iters": True},
                 {"batch_traj": 2.0}, {"batch_ul": "4"}, {"horizon": 3.0}, {"seed": 0.5},
-                {"eval_cadence": False}, {"env_step_budget": 1e5}):
+                {"eval_cadence": False}, {"env_step_budget": 1e5},
+                {"lam": True}, {"lam": True, "eta_x": True}, {"eta_theta": False},
+                {"eta_shadow_min": "0.1"}, {"lam": None}, {"eta_x": 1j},
+                {"eta_shadow_max": np.bool_(True)}):
         with pytest.raises(ValueError):
             PandaConfig(**bad)
     PandaConfig(eta_x=0.0, eta_theta=0.0, env_step_budget=0)  # boundaries are valid
     PandaConfig(outer_iters=np.int64(3), seed=np.int64(2))  # numpy integers are integers
+    PandaConfig(lam=2, eta_x=np.float64(0.1), eta_theta=np.int64(1))  # any real number
 
 
 def test_zero_learning_rates_leave_state_fixed():
@@ -126,6 +135,33 @@ def _state_digest(state):
     return h.hexdigest()
 
 
+_GRID_RUN = """
+import hashlib, json
+from panda.envs import GridSpec, build_sentinel
+from panda.optim import PandaConfig, run_panda
+grid = run_panda(build_sentinel(GridSpec()),
+                 PandaConfig(outer_iters=2, inner_iters=1, batch_traj=8, batch_ul=4,
+                             horizon=20, eval_cadence=1, seed=0))
+h = hashlib.sha256()
+for a in (grid.state.x, grid.state.policy_min.logits, grid.state.policy_max.logits,
+          grid.state.shadow_min.logits, grid.state.shadow_max.logits):
+    h.update(a.tobytes())
+print(json.dumps({"rows": [(r.env_steps, r.ul_objective, r.ni_gap, r.grad_norm)
+                           for r in grid.records], "digest": h.hexdigest()}))
+"""
+
+
+def _run_on_one_blas_thread(code: str) -> dict:
+    """Run `code` in a fresh interpreter whose BLAS uses one thread; parse its JSON output."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(panda.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def test_outputs_pinned_across_versions():
     """Short oracle and panda runs reproduce recorded numbers bit for bit.
 
@@ -135,7 +171,9 @@ def test_outputs_pinned_across_versions():
     reruns of one version stay identical.  The synthetic ul_objective is not
     pinned: its last bits differ from those of the version the literals come
     from.  The sentinel run pins the successor-list kernels and the grid
-    sampler, ul_objective included.
+    sampler, ul_objective included.  Its 626x626 LU solves round differently
+    with different BLAS thread counts, so it runs in a subprocess on one BLAS
+    thread; the synthetic systems are too small for BLAS to split.
     """
     env = build_synthetic(SyntheticSpec(seed=0))
     oracle = run_oracle(env, PandaConfig(outer_iters=2, eta_x=3.0, eta_theta=1.0,
@@ -156,14 +194,11 @@ def test_outputs_pinned_across_versions():
         assert [(r.env_steps, r.ni_gap, r.grad_norm) for r in res.records] == rows, name
         assert _state_digest(res.state) == digest, name
 
-    grid = run_panda(build_sentinel(GridSpec()),
-                     PandaConfig(outer_iters=2, inner_iters=1, batch_traj=8, batch_ul=4,
-                                 horizon=20, eval_cadence=1, seed=0))
-    assert [(r.env_steps, r.ul_objective, r.ni_gap, r.grad_norm) for r in grid.records] == [
-        (822, 6.123835740127621, 17.47564824419193, 1.0824955099813915),
-        (1733, 6.003298260565904, 17.47875095785694, 1.0473653855170013)]
-    assert _state_digest(grid.state) == (
-        "7bbc057abb06bd5affdf4a05dbb8f8919652ab6a0a5f800124edd2e74ed6db25")
+    grid = _run_on_one_blas_thread(_GRID_RUN)
+    assert [tuple(row) for row in grid["rows"]] == [
+        (822, 6.123835740127621, 17.47564824419193, 1.0824955099813907),
+        (1733, 6.003298260565904, 17.47875095785694, 1.0473653855170024)]
+    assert grid["digest"] == "7bbc057abb06bd5affdf4a05dbb8f8919652ab6a0a5f800124edd2e74ed6db25"
 
 
 def test_seed_changes_the_run():

@@ -252,6 +252,74 @@ def test_variance_scales_inversely_with_batch():
     assert 0.8 <= ratio <= 1.25, ratio
 
 
+def _reference_batch(game, model, pmin, pmax, horizon, us):
+    """One trajectory at a time, each draw a searchsorted over its row capped at the last entry."""
+    def draw(p, u):
+        cum = np.cumsum(p)
+        return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+    y, z = pmin.probs_all(), pmax.probs_all()
+    r = np.where(game.absorbing[:, None, None], 0.0, model.values())
+    n = len(us)
+    states, amin, amax = (np.zeros((n, horizon), np.intp) for _ in range(3))
+    rewards = np.zeros((n, horizon))
+    lengths = np.zeros(n, np.intp)
+    for i, u in enumerate(us):
+        s = draw(game.init_dist, u[0])
+        for t in range(horizon):
+            a, b = draw(y[s], u[1 + 3 * t]), draw(z[s], u[2 + 3 * t])
+            states[i, t], amin[i, t], amax[i, t], rewards[i, t] = s, a, b, r[s, a, b]
+            lengths[i] = t + 1
+            s = game.succ[s, a, b, draw(game.succ_prob[s, a, b], u[3 + 3 * t])]
+            if game.absorbing[s]:
+                break
+    return states, amin, amax, rewards, lengths
+
+
+def _deterministic_game(rng, n_states, na, nb):
+    """One successor per (s, a, b), the last state absorbing."""
+    p = np.zeros((n_states, na, nb, n_states))
+    nxt = rng.integers(0, n_states, size=(n_states, na, nb))
+    nxt[-1] = n_states - 1
+    np.put_along_axis(p, nxt[..., None], 1.0, axis=3)
+    rho = rng.uniform(0.2, 1.0, size=n_states)
+    absorbing = np.arange(n_states) == n_states - 1
+    return MarkovGame(p, rho / rho.sum(), absorbing, 0.9, 0.1, 0.1)
+
+
+def test_rollout_matches_per_row_reference():
+    rng = np.random.default_rng(17)
+    games = [random_game(150 + i, n_states=4, na=2, nb=3, n_absorbing=i % 3)
+             for i in range(6)]
+    gapped = MarkovGame(gapped_transition(), np.array([0.4, 0.4, 0.2]),
+                        np.array([False, False, True]), 0.9, 0.1, 0.1)
+    games.append((gapped, RewardModel(rng.normal(size=(3, 2, 2)),
+                                      rng.normal(size=(3, 2, 2)), 1.0)))
+    for n in (3, 6):
+        det = _deterministic_game(rng, n, 2, 3)
+        assert det.succ.shape[3] == 1
+        games.append((det, RewardModel(rng.normal(size=(n, 2, 3)),
+                                       rng.normal(size=(n, 2, 3)), 1.0)))
+    early_ends = absorbing_starts = 0
+    for g, (game, model) in enumerate(games):
+        S, A, B, _ = game.succ.shape
+        pmin, pmax = random_policies(rng, S, A, B, spread=2.0)
+        for horizon in (1, 2, 5, 13, 20):
+            stream = RngStream(g)
+            batch = int(rng.integers(1, 40))
+            got = sample_batch(game, model, pmin, pmax, batch, horizon, stream,
+                               purpose=1, outer=horizon, inner=g)
+            us = stream.uniforms(1, horizon, g, batch, 1 + 3 * horizon)
+            want = _reference_batch(game, model, pmin, pmax, horizon, us)
+            for name, w in zip(("states", "actions_min", "actions_max", "rewards", "lengths"),
+                               want):
+                arr = getattr(got, name)
+                assert arr.dtype == w.dtype and np.array_equal(arr, w), (g, horizon, name)
+            early_ends += int((got.lengths < horizon).sum())
+            absorbing_starts += int(game.absorbing[got.states[:, 0]].sum())
+    assert early_ends > 100 and absorbing_starts > 10  # padding and absorbing starts occur
+
+
 def test_successor_draws_match_dense_searchsorted():
     p = gapped_transition()
     game = MarkovGame(p, np.array([0.5, 0.5, 0.0]), np.array([False, False, True]),
@@ -264,7 +332,8 @@ def test_successor_draws_match_dense_searchsorted():
                             np.nextafter(cum, 0.0)])
         u = u[u < cum[-1]]
         n = len(u)
-        got = _successors(game, np.full(n, s), np.full(n, a), np.full(n, b), u)
+        sab = np.ravel_multi_index((s, a, b), p.shape[:3])
+        got = _successors(game, np.full(n, sab), u)
         assert np.array_equal(got, np.searchsorted(cum, u, side="right")), (s, a, b)
 
 
@@ -275,5 +344,4 @@ def test_successor_draw_past_a_short_row_sum_stays_on_a_successor():
     prob = np.array([[[[0.5, 0.5 - 1e-12, 0.0]]], [[[1.0, 0.0, 0.0]]]])
     game = MarkovGame.from_successors(succ, prob, np.array([1.0, 0.0]),
                                       np.array([False, True]), 0.9, 0.1, 0.1)
-    zero = np.zeros(1, np.intp)
-    assert _successors(game, zero, zero, zero, np.array([1.0 - 1e-13])).tolist() == [1]
+    assert _successors(game, np.zeros(1, np.intp), np.array([1.0 - 1e-13])).tolist() == [1]
