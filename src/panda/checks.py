@@ -222,10 +222,8 @@ def estimator_suite(seed: int = 0, n_mean_samples: int = 100_000,
     for rep in range(reps):
         trajs = sample_batch(game, model, pmin, pmax, batch, horizon, stream,
                              purpose=0, outer=rep)
-        est = estimate_gradients(game, model, pmin, pmax, trajs)
-        for key, val in (("min", est.grad_min), ("max", est.grad_max),
-                         ("x", est.grad_x)):
-            flat = val.ravel()
+        for key in ("min", "max", "x"):
+            flat = estimate_gradients(game, model, pmin, pmax, trajs, key).ravel()
             sums[key] = sums.get(key, 0.0) + flat
             sq_sums[key] = sq_sums.get(key, 0.0) + flat * flat
     exact = {
@@ -250,8 +248,7 @@ def estimator_suite(seed: int = 0, n_mean_samples: int = 100_000,
         for rep in range(n_var_reps):
             trajs = sample_batch(game, model, pmin, pmax, b, 10, stream,
                                  purpose=10 + b_idx, outer=rep)
-            g = estimate_gradients(game, model, pmin, pmax, trajs,
-                                   want=("min",)).grad_min
+            g = estimate_gradients(game, model, pmin, pmax, trajs, "min")
             vals[rep] = proj @ g.ravel()
         scaled[b] = b * vals.var(ddof=1)
     ratios = [scaled[4] / scaled[16], scaled[16] / scaled[64],

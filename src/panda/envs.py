@@ -114,6 +114,8 @@ class SyntheticUL:
 
 @dataclass
 class EnvBundle:
+    """Game, reward model and upper-level objective `ul` (f by `*_exact`/`*_estimate`)."""
+
     name: str
     game: MarkovGame
     model: RewardModel
@@ -173,24 +175,6 @@ class GridSpec:
 
     def cell(self, rc) -> int:
         return rc[0] * self.width + rc[1]
-
-    def ascii_map(self) -> str:
-        rows = []
-        for r in range(self.height):
-            row = ""
-            for c in range(self.width):
-                if (r, c) == self.sentinel_spawn:
-                    row += "S"
-                elif (r, c) in self.intruder_spawns:
-                    row += "I"
-                elif (r, c) == self.target:
-                    row += "T"
-                elif (r, c) in self.restricted:
-                    row += "#"
-                else:
-                    row += "."
-            rows.append(row)
-        return "\n".join(rows)
 
 
 # action order shared by both players: up, down, left, right, stay

@@ -38,11 +38,9 @@ from .game import (MarkovGame, RewardModel, effective_reward, effective_reward_g
 __all__ = [
     "SaddleSolveError",
     "ValueIterationError",
-    "StateSaddle",
     "NashSolution",
     "BestResponse",
     "NIGradients",
-    "solve_state_saddle",
     "bellman_policy_operator",
     "soft_bellman_optimality",
     "policy_eval",
@@ -91,15 +89,6 @@ def _neg_entropy(p: np.ndarray) -> np.ndarray:
 # Per-state regularized saddle points
 # --------------------------------------------------------------------------
 
-@dataclass
-class StateSaddle:
-    y: np.ndarray
-    z: np.ndarray
-    value: float
-    kkt_residual: float
-    iterations: int
-
-
 def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None, check_every=16):
     """Solve a batch of regularized matrix saddle points.
 
@@ -107,10 +96,10 @@ def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None, check_every=16)
         q: payoff matrices, shape (N, A, B).
         warm: optional (log_y, log_z) warm start, shapes (N, A) and (N, B).
 
-    Returns (y, z, values, residual, iterations).  The iteration is the
-    composite mirror-prox step in KL geometry: the bilinear coupling is
-    treated by extragradient while the entropy terms are absorbed exactly,
-    which makes each half-step a damped softmax of the opponent response.
+    Returns (y, z, values).  The iteration is the composite mirror-prox
+    step in KL geometry: the bilinear coupling is treated by extragradient
+    while the entropy terms are absorbed exactly, which makes each
+    half-step a damped softmax of the opponent response.
     Per-state step sizes 1/(tau + spread(Q)) give a linear rate in tau/spread.
     """
     q = np.asarray(q, dtype=float)
@@ -160,18 +149,7 @@ def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None, check_every=16)
             raise SaddleSolveError(res, it)
 
     values = np.einsum("na,nab,nb->n", y, q, z) + tau_min * _neg_entropy(y) - tau_max * _neg_entropy(z)
-    return y, z, values, res, it
-
-
-def solve_state_saddle(q, tau_min, tau_max, tol=1e-10, max_iter=100_000) -> StateSaddle:
-    """Unique saddle of y'Qz - tau_min*H(y) + tau_max*H(z) over the simplices.
-
-    The KKT residual reported is the l-inf distance of (y, z) from the
-    softmax best-response maps.
-    """
-    q = np.asarray(q, dtype=float)
-    y, z, values, res, it = _saddle_batch(q[None], tau_min, tau_max, tol, max_iter)
-    return StateSaddle(y=y[0], z=z[0], value=float(values[0]), kkt_residual=float(res), iterations=it)
+    return y, z, values
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +179,8 @@ def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
 
     Returns (Tv, y, z) where (y, z) solve the per-state saddles at the
     backed-up payoff matrices.  Absorbing states back up gamma*v with
-    uniform placeholder policies.
+    uniform placeholder policies.  `warm`, a (log y, log z) pair over all
+    states, warm-starts the saddle solves.
     """
     v = np.asarray(v, dtype=float)
     r_eff = effective_reward(game, model)
@@ -212,10 +191,8 @@ def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
     z = np.full((game.n_states, game.n_actions_max), 1.0 / game.n_actions_max)
     if live.any():
         w = None if warm is None else (warm[0][live], warm[1][live])
-        yl, zl, vals, _, _ = _saddle_batch(q[live], game.tau_min, game.tau_max, tol, max_iter, warm=w)
-        tv[live] = vals
-        y[live] = yl
-        z[live] = zl
+        y[live], z[live], tv[live] = _saddle_batch(q[live], game.tau_min, game.tau_max,
+                                                   tol, max_iter, warm=w)
     return tv, y, z
 
 
@@ -264,21 +241,13 @@ def solve_ne(game: MarkovGame, model: RewardModel, tol=1e-9, max_sweeps=100_000,
     """
     g = game.discount
     thr = tol * (1.0 - g) / g if g > 0 else np.inf
-    r_eff = effective_reward(game, model)
-    live = ~game.absorbing
     v = np.zeros(game.n_states)
-    na, nb = game.n_actions_min, game.n_actions_max
-    ly = np.full((live.sum(), na), -np.log(na))
-    lz = np.full((live.sum(), nb), -np.log(nb))
+    warm = None
     res = np.inf
     inner_tol = 1e-9
     for sweep in range(1, max_sweeps + 1):
-        q = r_eff + g * game.expect(v)
-        yl, zl, vals, _, _ = _saddle_batch(
-            q[live], game.tau_min, game.tau_max, inner_tol, 100_000, warm=(ly, lz))
-        ly, lz = _safe_log(yl), _safe_log(zl)
-        tv = g * v.copy()
-        tv[live] = vals
+        tv, y, z = soft_bellman_optimality(game, model, v, tol=inner_tol, warm=warm)
+        warm = (_safe_log(y), _safe_log(z))
         res = np.abs(tv - v).max()
         v = tv
         inner_tol = min(1e-9, max(saddle_tol, res * 1e-3))
@@ -288,13 +257,7 @@ def solve_ne(game: MarkovGame, model: RewardModel, tol=1e-9, max_sweeps=100_000,
         raise ValueIterationError(float(res), max_sweeps)
 
     # Final polished saddle at the converged values.
-    q = r_eff + g * game.expect(v)
-    y = np.full((game.n_states, na), 1.0 / na)
-    z = np.full((game.n_states, nb), 1.0 / nb)
-    yl, zl, _, _, _ = _saddle_batch(q[live], game.tau_min, game.tau_max, saddle_tol,
-                                    100_000, warm=(ly, lz))
-    y[live] = yl
-    z[live] = zl
+    _, y, z = soft_bellman_optimality(game, model, v, tol=saddle_tol, warm=warm)
     return NashSolution(policy_min=y, policy_max=z, v_star=v,
                         j_star=float(game.init_dist @ v), residual=float(res), sweeps=sweep)
 
@@ -537,8 +500,6 @@ class NIGradients:
     grad_x: np.ndarray        # d(gap)/dx
     br_min: np.ndarray        # argmin_y J(y, z), opponent of the max player
     br_max: np.ndarray        # argmax_z J(y, z)
-    j1: float
-    j2: float
     v_min: np.ndarray         # soft values of the min-side response (warm start)
     v_max: np.ndarray
 
@@ -564,8 +525,7 @@ def ni_gradients(game: MarkovGame, model: RewardModel, policy_min, policy_max,
     grad_x = _grad_x(y, bmax.policy, d_max, g) - _grad_x(bmin.policy, z, d_min, g)
     return NIGradients(gap=bmax.j_value - bmin.j_value, grad_min=grad_min,
                        grad_max=grad_max, grad_x=grad_x, br_min=bmin.policy,
-                       br_max=bmax.policy, j1=bmax.j_value, j2=bmin.j_value,
-                       v_min=bmin.soft_v, v_max=bmax.soft_v)
+                       br_max=bmax.policy, v_min=bmin.soft_v, v_max=bmax.soft_v)
 
 
 def pl_constant(game: MarkovGame, policy_min, policy_max) -> float:

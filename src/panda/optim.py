@@ -15,16 +15,21 @@ Because g itself hides an inner max/min, each optimizer maintains a pair of
 *shadow* policies (y~, z~) tracking the two inner best responses; the gap
 gradients are then plain policy gradients of J evaluated against the shadows.
 
-Four optimizers share this scaffolding:
+One update rule serves three optimizers: a policy step on a weighted sum
+of f and the surrogate gap at the shadows (`_penalty_step`) and an
+incentive step on f + lam * surrogate gap (`_incentive_step`), both over a
+gradient source, sampled (`_Sampled`) or exact (`_Exact`).  They differ in
+source, shadow rule, weighting and stop rule:
 
-- ``run_panda``    stochastic, shadow policies warm-started across outer
+- ``run_panda``    sampled, shadow policies warm-started across outer
                    iterations (carried in the optimizer state);
-- ``run_pbrl``     stochastic, shadow policies re-initialized from the
+- ``run_pbrl``     sampled, shadow policies re-initialized from the
                    current policy pair at every outer iteration;
-- ``run_alternating`` stochastic descent-ascent on J alone, ignoring f's
-                   coupling into the policies (equilibrium tracking only);
-- ``run_oracle``   deterministic reference: exact gradients, exact best
-                   responses, inner loop iterated to stationarity.
+- ``run_oracle``   exact gradients against exact best responses, inner
+                   loop stopped at a step tolerance or an iteration cap.
+
+``run_alternating`` is the sampled baseline outside the rule: descent-ascent
+on J alone, ignoring f's coupling into the policies.
 
 All stochastic gradients draw fresh trajectory batches from counter-based
 streams keyed on (purpose, outer, inner, trajectory), so runs are
@@ -37,14 +42,13 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .envs import EnvBundle
 from .exact import best_response, exact_grad_policy, exact_grad_x, ni_gradients
-from .game import RewardModel, TabularPolicy
-from .sampling import RngStream, estimate_gradients, sample_batch
+from .game import TabularPolicy
+from .sampling import RngStream, estimate_gradients, n_env_steps, sample_batch
 
 # Stream purposes.  Every estimator call site owns one label so that no two
 # draws within a run ever share a Philox counter block.
@@ -165,25 +169,6 @@ class RunResult:
     state: OptimizerState
 
 
-class ULObjective(Protocol):
-    """Upper-level objective f(x, y, z) with exact and sampled oracles."""
-
-    def value_exact(self, model, policy_min, policy_max) -> float: ...
-
-    def grad_policies_exact(self, model, policy_min, policy_max): ...
-
-    def grad_x_exact(self, model, policy_min, policy_max) -> np.ndarray: ...
-
-    def value_estimate(self, model, policy_min, policy_max, batch,
-                       stream, purpose=0, outer=0, inner=0): ...
-
-    def grad_policies_estimate(self, model, policy_min, policy_max, batch,
-                               stream, purpose=0, outer=0, inner=0): ...
-
-    def grad_x_estimate(self, model, policy_min, policy_max, batch,
-                        stream, purpose=0, outer=0, inner=0): ...
-
-
 # --------------------------------------------------------------------------
 # Shared pieces
 # --------------------------------------------------------------------------
@@ -230,12 +215,10 @@ def exact_metrics(env: EnvBundle, state: OptimizerState, lam: float,
                   cache: _EvalCache | None = None, tol: float = 1e-9) -> ExactMetrics:
     """Exact f, NI gap, and penalty-gradient norm at the current iterate."""
     model_x = env.model.with_params(state.x)
-    v0_min = cache.v_min if cache is not None else None
-    v0_max = cache.v_max if cache is not None else None
+    cache = cache if cache is not None else _EvalCache()
     ni = ni_gradients(env.game, model_x, state.policy_min, state.policy_max,
-                      tol=tol, v0_min=v0_min, v0_max=v0_max)
-    if cache is not None:
-        cache.v_min, cache.v_max = ni.v_min, ni.v_max
+                      tol=tol, v0_min=cache.v_min, v0_max=cache.v_max)
+    cache.v_min, cache.v_max = ni.v_min, ni.v_max
     f_val = env.ul.value_exact(model_x, state.policy_min, state.policy_max)
     f_gmin, f_gmax = env.ul.grad_policies_exact(model_x, state.policy_min, state.policy_max)
     f_gx = env.ul.grad_x_exact(model_x, state.policy_min, state.policy_max)
@@ -252,71 +235,6 @@ def _step_policies(state, cfg, gmin, gmax, optimizer, outer, inner) -> None:
                                            "min-policy", optimizer, outer, inner))
     state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, gmax,
                                            "max-policy", optimizer, outer, inner))
-
-
-def _sampled_j_grad(env, model_x: RewardModel, policy_min, policy_max, side: str,
-                    cfg: PandaConfig, stream: RngStream, purpose: int,
-                    outer: int, inner: int):
-    """Fresh-batch policy-gradient estimate of J in one variable block."""
-    batch = sample_batch(env.game, model_x, policy_min, policy_max,
-                         cfg.batch_traj, cfg.horizon, stream, purpose, outer, inner)
-    est = estimate_gradients(env.game, model_x, policy_min, policy_max,
-                             batch, want=(side,))
-    grad = {"min": est.grad_min, "max": est.grad_max, "x": est.grad_x}[side]
-    return grad, est.n_env_steps
-
-
-def _penalty_inner_loop(env, cfg, state, stream, t, optimizer,
-                        f_scale=None, pen_scale=1.0):
-    """K stochastic inner iterations: track best responses, step the pair.
-
-    Each iteration draws five fresh batches: two to advance the shadows, two
-    to form the gap gradients against the *advanced* shadows, and one for the
-    upper-level policy gradient.  The policy pair then takes one step on
-    f_scale * f + pen_scale * surrogate-gap; the two weightings in use are
-    (1/lam, 1) -- the penalized loss rescaled by lam, the default -- and
-    (1, lam), the penalized loss itself.
-    """
-    if f_scale is None:
-        f_scale = 1.0 / cfg.lam
-    model_x = env.model.with_params(state.x)
-    for k in range(cfg.inner_iters):
-        u, s1 = _sampled_j_grad(env, model_x, state.shadow_min, state.policy_max,
-                                "min", cfg, stream, PURPOSE_SHADOW_MIN, t, k)
-        v, s2 = _sampled_j_grad(env, model_x, state.policy_min, state.shadow_max,
-                                "max", cfg, stream, PURPOSE_SHADOW_MAX, t, k)
-        shadow_min = TabularPolicy(_step(state.shadow_min.logits, cfg.eta_shadow_min, u,
-                                         "min-shadow", optimizer, t, k))
-        shadow_max = TabularPolicy(_step(state.shadow_max.logits, cfg.eta_shadow_max, -v,
-                                         "max-shadow", optimizer, t, k))
-
-        f_gmin, f_gmax, s3 = env.ul.grad_policies_estimate(
-            model_x, state.policy_min, state.policy_max, cfg.batch_ul,
-            stream, purpose=PURPOSE_UL_POLICY, outer=t, inner=k)
-        pen_min, s4 = _sampled_j_grad(env, model_x, state.policy_min, shadow_max,
-                                      "min", cfg, stream, PURPOSE_PENALTY_MIN, t, k)
-        pen_max, s5 = _sampled_j_grad(env, model_x, shadow_min, state.policy_max,
-                                      "max", cfg, stream, PURPOSE_PENALTY_MAX, t, k)
-        gmin = f_scale * f_gmin + pen_scale * pen_min
-        gmax = f_scale * f_gmax - pen_scale * pen_max
-        _step_policies(state, cfg, gmin, gmax, optimizer, t, k)
-        state.shadow_min, state.shadow_max = shadow_min, shadow_max
-        state.env_steps += s1 + s2 + s3 + s4 + s5
-
-
-def _incentive_step(env, cfg, state, stream, t, optimizer):
-    """Outer update of x along f's gradient plus lam times the gap's."""
-    model_x = env.model.with_params(state.x)
-    g_main, s1 = _sampled_j_grad(env, model_x, state.policy_min, state.shadow_max,
-                                 "x", cfg, stream, PURPOSE_OUTER_X_MAIN, t, 0)
-    g_shadow, s2 = _sampled_j_grad(env, model_x, state.shadow_min, state.policy_max,
-                                   "x", cfg, stream, PURPOSE_OUTER_X_SHADOW, t, 0)
-    f_gx, s3 = env.ul.grad_x_estimate(model_x, state.policy_min, state.policy_max,
-                                      cfg.batch_ul, stream,
-                                      purpose=PURPOSE_UL_X, outer=t)
-    ell = f_gx + cfg.lam * (g_main - g_shadow)
-    state.x = _step(state.x, cfg.eta_x, ell, "incentive", optimizer, t)
-    state.env_steps += s1 + s2 + s3
 
 
 def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
@@ -355,6 +273,131 @@ def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
 
 
 # --------------------------------------------------------------------------
+# Gradient sources.  Each answers `j_grad` (J's gradient in one block, "x",
+# "min" or "max", at a policy pair, for a stream purpose and (outer, inner)),
+# `ul_policies` and `ul_x` (the upper-level objective's gradients), each
+# call also returning the environment steps it consumed.
+# --------------------------------------------------------------------------
+
+class _Sampled:
+    """Policy-gradient estimates, each from a fresh trajectory batch."""
+
+    def __init__(self, env: EnvBundle, cfg: PandaConfig):
+        self.env, self.cfg, self.stream = env, cfg, RngStream(cfg.seed)
+
+    def j_grad(self, model_x, policy_min, policy_max, side, purpose, outer, inner):
+        game, cfg = self.env.game, self.cfg
+        batch = sample_batch(game, model_x, policy_min, policy_max, cfg.batch_traj,
+                             cfg.horizon, self.stream, purpose, outer, inner)
+        return (estimate_gradients(game, model_x, policy_min, policy_max, batch, side),
+                n_env_steps(batch))
+
+    def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
+        return self.env.ul.grad_policies_estimate(
+            model_x, policy_min, policy_max, self.cfg.batch_ul, self.stream,
+            purpose=PURPOSE_UL_POLICY, outer=outer, inner=inner)
+
+    def ul_x(self, model_x, policy_min, policy_max, outer):
+        return self.env.ul.grad_x_estimate(model_x, policy_min, policy_max,
+                                           self.cfg.batch_ul, self.stream,
+                                           purpose=PURPOSE_UL_X, outer=outer)
+
+
+class _Exact:
+    """Exact gradients; no environment steps."""
+
+    def __init__(self, env: EnvBundle):
+        self.env = env
+
+    def j_grad(self, model_x, policy_min, policy_max, side, purpose, outer, inner):
+        if side == "x":
+            return exact_grad_x(self.env.game, model_x, policy_min, policy_max), 0
+        return exact_grad_policy(self.env.game, model_x, policy_min, policy_max, side), 0
+
+    def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
+        return (*self.env.ul.grad_policies_exact(model_x, policy_min, policy_max), 0)
+
+    def ul_x(self, model_x, policy_min, policy_max, outer):
+        return self.env.ul.grad_x_exact(model_x, policy_min, policy_max), 0
+
+
+# --------------------------------------------------------------------------
+# The update rule
+# --------------------------------------------------------------------------
+
+def _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max, f_scale, pen_scale,
+                  optimizer, t, k):
+    """Step the policy pair on f_scale * f + pen_scale * surrogate gap.
+
+    The gap gradients are J's policy gradients against the given shadows
+    (policies or probability arrays).  The two weightings in use are
+    (1/lam, 1) -- the penalized loss rescaled by lam, the default -- and
+    (1, lam), the penalized loss itself.  Returns the step's gradients.
+    """
+    f_gmin, f_gmax, s1 = src.ul_policies(model_x, state.policy_min, state.policy_max, t, k)
+    pen_min, s2 = src.j_grad(model_x, state.policy_min, shadow_max, "min",
+                             PURPOSE_PENALTY_MIN, t, k)
+    pen_max, s3 = src.j_grad(model_x, shadow_min, state.policy_max, "max",
+                             PURPOSE_PENALTY_MAX, t, k)
+    gmin = f_scale * f_gmin + pen_scale * pen_min
+    gmax = f_scale * f_gmax - pen_scale * pen_max
+    _step_policies(state, cfg, gmin, gmax, optimizer, t, k)
+    state.env_steps += s1 + s2 + s3
+    return gmin, gmax
+
+
+def _incentive_step(src, cfg, state, model_x, shadow_min, shadow_max, optimizer, t):
+    """Outer update of x along f's gradient plus lam times the surrogate gap's."""
+    g_main, s1 = src.j_grad(model_x, state.policy_min, shadow_max, "x",
+                            PURPOSE_OUTER_X_MAIN, t, 0)
+    g_shadow, s2 = src.j_grad(model_x, shadow_min, state.policy_max, "x",
+                              PURPOSE_OUTER_X_SHADOW, t, 0)
+    f_gx, s3 = src.ul_x(model_x, state.policy_min, state.policy_max, t)
+    ell = f_gx + cfg.lam * (g_main - g_shadow)
+    state.x = _step(state.x, cfg.eta_x, ell, "incentive", optimizer, t)
+    state.env_steps += s1 + s2 + s3
+
+
+def _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, optimizer, t, k):
+    """One inner iteration of the sampled penalty methods.
+
+    Each shadow first takes one gradient step toward its best response; the
+    policy pair then takes the penalty step against the advanced shadows.
+    """
+    u, s1 = src.j_grad(model_x, state.shadow_min, state.policy_max, "min",
+                       PURPOSE_SHADOW_MIN, t, k)
+    v, s2 = src.j_grad(model_x, state.policy_min, state.shadow_max, "max",
+                       PURPOSE_SHADOW_MAX, t, k)
+    shadow_min = TabularPolicy(_step(state.shadow_min.logits, cfg.eta_shadow_min, u,
+                                     "min-shadow", optimizer, t, k))
+    shadow_max = TabularPolicy(_step(state.shadow_max.logits, cfg.eta_shadow_max, -v,
+                                     "max-shadow", optimizer, t, k))
+    _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max,
+                  f_scale, pen_scale, optimizer, t, k)
+    state.shadow_min, state.shadow_max = shadow_min, shadow_max
+    state.env_steps += s1 + s2
+
+
+def _shadow_run(env, cfg, optimizer, reset, f_scale, pen_scale) -> RunResult:
+    """Sampled penalty method; with `reset` the shadows restart from the policy
+    pair at every outer iteration, otherwise they carry over."""
+    state = init_state(env)
+    src = _Sampled(env, cfg)
+
+    def step(t):
+        model_x = env.model.with_params(state.x)
+        if reset:
+            state.shadow_min = state.policy_min.copy()
+            state.shadow_max = state.policy_max.copy()
+        for k in range(cfg.inner_iters):
+            _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, optimizer, t, k)
+        _incentive_step(src, cfg, state, model_x, state.shadow_min, state.shadow_max,
+                        optimizer, t)
+
+    return _metrics_loop(env, cfg, state, step)
+
+
+# --------------------------------------------------------------------------
 # Optimizers
 # --------------------------------------------------------------------------
 
@@ -365,14 +408,7 @@ def run_panda(env: EnvBundle, cfg: PandaConfig) -> RunResult:
     the incentives move the trackers resume from their previous position
     instead of relearning the responses from scratch.
     """
-    state = init_state(env)
-    stream = RngStream(cfg.seed)
-
-    def step(t):
-        _penalty_inner_loop(env, cfg, state, stream, t, "panda")
-        _incentive_step(env, cfg, state, stream, t, "panda")
-
-    return _metrics_loop(env, cfg, state, step)
+    return _shadow_run(env, cfg, "panda", reset=False, f_scale=1.0 / cfg.lam, pen_scale=1.0)
 
 
 def run_pbrl(env: EnvBundle, cfg: PandaConfig) -> RunResult:
@@ -384,17 +420,7 @@ def run_pbrl(env: EnvBundle, cfg: PandaConfig) -> RunResult:
     each inner loop; with a small inner budget they chronically lag the true
     responses.
     """
-    state = init_state(env)
-    stream = RngStream(cfg.seed)
-
-    def step(t):
-        state.shadow_min = state.policy_min.copy()
-        state.shadow_max = state.policy_max.copy()
-        _penalty_inner_loop(env, cfg, state, stream, t, "pbrl",
-                            f_scale=1.0, pen_scale=cfg.lam)
-        _incentive_step(env, cfg, state, stream, t, "pbrl")
-
-    return _metrics_loop(env, cfg, state, step)
+    return _shadow_run(env, cfg, "pbrl", reset=True, f_scale=1.0, pen_scale=cfg.lam)
 
 
 def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
@@ -406,20 +432,18 @@ def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
     only through the policies, x never moves.
     """
     state = init_state(env)
-    stream = RngStream(cfg.seed)
+    src = _Sampled(env, cfg)
 
     def step(t):
         model_x = env.model.with_params(state.x)
         for k in range(cfg.inner_iters):
-            u, s1 = _sampled_j_grad(env, model_x, state.policy_min, state.policy_max,
-                                    "min", cfg, stream, PURPOSE_SHADOW_MIN, t, k)
-            v, s2 = _sampled_j_grad(env, model_x, state.policy_min, state.policy_max,
-                                    "max", cfg, stream, PURPOSE_SHADOW_MAX, t, k)
+            u, s1 = src.j_grad(model_x, state.policy_min, state.policy_max, "min",
+                               PURPOSE_SHADOW_MIN, t, k)
+            v, s2 = src.j_grad(model_x, state.policy_min, state.policy_max, "max",
+                               PURPOSE_SHADOW_MAX, t, k)
             _step_policies(state, cfg, u, -v, "alternating", t, k)
             state.env_steps += s1 + s2
-        f_gx, s3 = env.ul.grad_x_estimate(model_x, state.policy_min, state.policy_max,
-                                          cfg.batch_ul, stream,
-                                          purpose=PURPOSE_UL_X, outer=t)
+        f_gx, s3 = src.ul_x(model_x, state.policy_min, state.policy_max, t)
         state.x = _step(state.x, cfg.eta_x, f_gx, "incentive", "alternating", t)
         state.env_steps += s3
 
@@ -428,15 +452,15 @@ def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
 
 def run_oracle(env: EnvBundle, cfg: PandaConfig, inner_tol: float = 1e-8,
                inner_cap: int = 500, br_tol: float = 1e-10) -> RunResult:
-    """Deterministic reference run on exact gradients and best responses.
+    """Deterministic reference: the `panda` update on exact gradients and best responses.
 
-    The inner loop replaces the shadow trackers with exact soft best
-    responses (so the surrogate gap equals the true gap along the way) and
-    iterates until the policy update is below `inner_tol` in sup norm or
-    `inner_cap` iterations elapse.  No trajectories are sampled; env_steps
-    stays zero.
+    The shadows are the exact soft best responses at the current policies
+    (so the surrogate gap is the true gap), and the inner loop runs until a
+    policy step moves no logit by more than `inner_tol` or `inner_cap`
+    iterations elapse.  No trajectories are sampled; env_steps stays zero.
     """
     state = init_state(env)
+    src = _Exact(env)
     ws = _EvalCache()
 
     def responses(model_x):
@@ -445,33 +469,21 @@ def run_oracle(env: EnvBundle, cfg: PandaConfig, inner_tol: float = 1e-8,
         bmin = best_response(env.game, model_x, state.policy_max, "min",
                              tol=br_tol, v0=ws.v_min)
         ws.v_min, ws.v_max = bmin.soft_v, bmax.soft_v
-        return bmin, bmax
+        return bmin.policy, bmax.policy
 
     def step(t):
         model_x = env.model.with_params(state.x)
         for k in range(inner_cap):
-            bmin, bmax = responses(model_x)
-            f_gmin, f_gmax = env.ul.grad_policies_exact(
-                model_x, state.policy_min, state.policy_max)
-            pen_min = exact_grad_policy(env.game, model_x,
-                                        state.policy_min, bmax.policy, "min")
-            pen_max = exact_grad_policy(env.game, model_x,
-                                        bmin.policy, state.policy_max, "max")
-            gmin = f_gmin / cfg.lam + pen_min
-            gmax = f_gmax / cfg.lam - pen_max
-            _step_policies(state, cfg, gmin, gmax, "oracle", t, k)
+            gmin, gmax = _penalty_step(src, cfg, state, model_x, *responses(model_x),
+                                       1.0 / cfg.lam, 1.0, "oracle", t, k)
             step_size = max(cfg.eta_theta * np.abs(gmin).max(),
                             cfg.eta_theta * np.abs(gmax).max())
             if step_size <= inner_tol:
                 break
-        bmin, bmax = responses(model_x)
-        state.shadow_min = TabularPolicy(np.log(np.maximum(bmin.policy, 1e-300)))
-        state.shadow_max = TabularPolicy(np.log(np.maximum(bmax.policy, 1e-300)))
-        f_gx = env.ul.grad_x_exact(model_x, state.policy_min, state.policy_max)
-        ell = f_gx + cfg.lam * (
-            exact_grad_x(env.game, model_x, state.policy_min, bmax.policy)
-            - exact_grad_x(env.game, model_x, bmin.policy, state.policy_max))
-        state.x = _step(state.x, cfg.eta_x, ell, "incentive", "oracle", t)
+        br_min, br_max = responses(model_x)
+        state.shadow_min = TabularPolicy(np.log(np.maximum(br_min, 1e-300)))
+        state.shadow_max = TabularPolicy(np.log(np.maximum(br_max, 1e-300)))
+        _incentive_step(src, cfg, state, model_x, br_min, br_max, "oracle", t)
 
     return _metrics_loop(env, cfg, state, step)
 

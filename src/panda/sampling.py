@@ -34,7 +34,6 @@ from .game import (MarkovGame, RewardModel, TabularPolicy, effective_reward,
 __all__ = [
     "RngStream",
     "TrajBatch",
-    "GradEstimate",
     "rollout",
     "sample_batch",
     "estimate_grad_x",
@@ -256,20 +255,11 @@ def estimate_grad_x(game: MarkovGame, model: RewardModel, batch: TrajBatch) -> n
     return grad.reshape(gx.shape) / len(batch)
 
 
-@dataclass
-class GradEstimate:
-    grad_x: np.ndarray | None
-    grad_min: np.ndarray | None
-    grad_max: np.ndarray | None
-    n_env_steps: int
-
-
 def estimate_gradients(game: MarkovGame, model: RewardModel, policy_min: TabularPolicy,
-                       policy_max: TabularPolicy, batch: TrajBatch,
-                       want=("x", "min", "max")) -> GradEstimate:
-    return GradEstimate(
-        grad_x=estimate_grad_x(game, model, batch) if "x" in want else None,
-        grad_min=estimate_grad_policy(game, policy_min, policy_max, batch, "min") if "min" in want else None,
-        grad_max=estimate_grad_policy(game, policy_min, policy_max, batch, "max") if "max" in want else None,
-        n_env_steps=n_env_steps(batch),
-    )
+                       policy_max: TabularPolicy, batch: TrajBatch, side: str) -> np.ndarray:
+    """Batch-mean gradient of J in one block: "x" (incentives), "min" or "max" (logits)."""
+    if side == "x":
+        return estimate_grad_x(game, model, batch)
+    if side not in ("min", "max"):
+        raise ValueError(f"side must be 'x', 'min' or 'max', got {side!r}")
+    return estimate_grad_policy(game, policy_min, policy_max, batch, side)

@@ -156,17 +156,6 @@ def test_sentinel_state_count_and_geometry():
     assert env.ul.restricted_state.sum() == 6 * 25
 
 
-def test_sentinel_ascii_map():
-    art = GridSpec().ascii_map()
-    assert art.splitlines() == [
-        "II..S",
-        "I..##",
-        "...##",
-        "...##",
-        "....T",
-    ]
-
-
 def test_sentinel_rows_have_one_certain_successor():
     game = build_sentinel(GridSpec()).game
     assert game.succ.shape == (626, 5, 5, 1)

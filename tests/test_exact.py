@@ -25,7 +25,6 @@ from panda.exact import (
     pl_constant,
     policy_eval,
     solve_ne,
-    solve_state_saddle,
     soft_bellman_optimality,
     visitation,
 )
@@ -119,13 +118,31 @@ def test_soft_optimality_identity_payoff_value():
 
 
 # --- per-state saddles -----------------------------------------------------
+#
+# A one-state game with discount 0 backs up its payoff matrix alone, so one
+# optimality backup solves the regularized matrix saddle of q.
+
+def solve_saddle(q, tau_min, tau_max, **kw):
+    """(y, z, value, KKT residual) of y'Qz - tau_min*H(y) + tau_max*H(z)."""
+    q = np.asarray(q, dtype=float)
+    na, nb = q.shape
+    game = one_state_game(na=na, nb=nb, gamma=0.0, tau_min=tau_min, tau_max=tau_max)
+    model = RewardModel(base=q[None], incentive_params=np.zeros((1, na, nb)),
+                        incentive_scale=0.0)
+    tv, y, z = soft_bellman_optimality(game, model, np.zeros(1), **kw)
+    y, z = y[0], z[0]
+    by = np.exp(-(q @ z) / tau_min)
+    bz = np.exp((q.T @ y) / tau_max)
+    residual = max(np.abs(y - by / by.sum()).max(), np.abs(z - bz / bz.sum()).max())
+    return y, z, float(tv[0]), residual
+
 
 def test_saddle_zero_matrix_uniform():
-    s = solve_state_saddle(np.zeros((3, 4)), 0.1, 0.2)
-    np.testing.assert_allclose(s.y, 1 / 3, atol=1e-12)
-    np.testing.assert_allclose(s.z, 1 / 4, atol=1e-12)
-    np.testing.assert_allclose(s.value, 0.2 * np.log(4) - 0.1 * np.log(3), rtol=1e-12)
-    assert s.kkt_residual <= 1e-10
+    y, z, value, residual = solve_saddle(np.zeros((3, 4)), 0.1, 0.2)
+    np.testing.assert_allclose(y, 1 / 3, atol=1e-12)
+    np.testing.assert_allclose(z, 1 / 4, atol=1e-12)
+    np.testing.assert_allclose(value, 0.2 * np.log(4) - 0.1 * np.log(3), rtol=1e-12)
+    assert residual <= 1e-10
 
 
 def _grid_saddle_2x2(q, tau_min, tau_max, n=10001):
@@ -157,37 +174,32 @@ def _grid_saddle_2x2(q, tau_min, tau_max, n=10001):
 
 def test_saddle_against_grid_search():
     q = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    s = solve_state_saddle(q, 0.1, 0.1)
+    y, _, value, residual = solve_saddle(q, 0.1, 0.1)
     val, p = _grid_saddle_2x2(q, 0.1, 0.1)
-    assert abs(s.value - val) <= 1e-3
-    assert abs(s.y[0] - p) <= 5e-4
-    assert s.kkt_residual <= 1e-10
+    assert abs(value - val) <= 1e-3
+    assert abs(y[0] - p) <= 5e-4
+    assert residual <= 1e-10
 
 
 def test_saddle_identity_tau_one():
-    s = solve_state_saddle(np.eye(2), 1.0, 1.0)
-    np.testing.assert_allclose(s.value, 0.5, atol=1e-10)
+    _, _, value, _ = solve_saddle(np.eye(2), 1.0, 1.0)
+    np.testing.assert_allclose(value, 0.5, atol=1e-10)
     val, _ = _grid_saddle_2x2(np.eye(2), 1.0, 1.0)
-    assert abs(s.value - val) <= 1e-3
+    assert abs(value - val) <= 1e-3
 
 
 def test_saddle_kkt_fixed_point():
     rng = np.random.default_rng(9)
     for _ in range(5):
         q = rng.uniform(-3, 3, size=(3, 4))
-        s = solve_state_saddle(q, 0.15, 0.3)
-        by = np.exp(-(q @ s.z) / 0.15)
-        by /= by.sum()
-        bz = np.exp((q.T @ s.y) / 0.3)
-        bz /= bz.sum()
-        assert np.abs(s.y - by).max() <= 1e-10
-        assert np.abs(s.z - bz).max() <= 1e-10
+        _, _, _, residual = solve_saddle(q, 0.15, 0.3)
+        assert residual <= 1e-10
 
 
 def test_saddle_nonconvergence_raises():
     q = np.random.default_rng(0).uniform(-20, 20, size=(4, 5))
     with pytest.raises(SaddleSolveError) as ei:
-        solve_state_saddle(q, 0.05, 0.05, tol=1e-12, max_iter=10)
+        solve_saddle(q, 0.05, 0.05, tol=1e-12, max_iter=10)
     assert ei.value.residual > 0
 
 

@@ -221,14 +221,13 @@ def test_estimate_gradients_bundle():
     rng = np.random.default_rng(36)
     pmin, pmax = random_policies(rng, 3, 2, 2)
     batch = sample_batch(game, model, pmin, pmax, 6, 3, RngStream(14))
-    est = estimate_gradients(game, model, pmin, pmax, batch)
-    assert est.n_env_steps == n_env_steps(batch)
-    np.testing.assert_array_equal(est.grad_x, estimate_grad_x(game, model, batch))
-    np.testing.assert_array_equal(est.grad_min,
-                                  estimate_grad_policy(game, pmin, pmax, batch, "min"))
-    est2 = estimate_gradients(game, model, pmin, pmax, batch, want=("max",))
-    assert est2.grad_x is None and est2.grad_min is None
-    assert est2.grad_max is not None
+    np.testing.assert_array_equal(estimate_gradients(game, model, pmin, pmax, batch, "x"),
+                                  estimate_grad_x(game, model, batch))
+    for side in ("min", "max"):
+        np.testing.assert_array_equal(estimate_gradients(game, model, pmin, pmax, batch, side),
+                                      estimate_grad_policy(game, pmin, pmax, batch, side))
+    with pytest.raises(ValueError, match="side"):
+        estimate_gradients(game, model, pmin, pmax, batch, "y")
 
 
 def test_variance_scales_inversely_with_batch():
