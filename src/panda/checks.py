@@ -16,9 +16,8 @@ from .exact import (
     bellman_policy_operator,
     best_response,
     exact_grad_policy,
-    exact_grad_policy_truncated,
     exact_grad_x,
-    exact_grad_x_truncated,
+    exact_grads_truncated,
     j_value,
     ni_gradients,
     pl_constant,
@@ -226,11 +225,8 @@ def estimator_suite(seed: int = 0, n_mean_samples: int = 100_000,
             flat = estimate_gradients(game, model, pmin, pmax, trajs, key).ravel()
             sums[key] = sums.get(key, 0.0) + flat
             sq_sums[key] = sq_sums.get(key, 0.0) + flat * flat
-    exact = {
-        "min": exact_grad_policy_truncated(game, model, pmin, pmax, horizon, "min"),
-        "max": exact_grad_policy_truncated(game, model, pmin, pmax, horizon, "max"),
-        "x": exact_grad_x_truncated(game, model, pmin, pmax, horizon),
-    }
+    exact = dict(zip(("min", "max", "x"),
+                     exact_grads_truncated(game, model, pmin, pmax, horizon)))
     worst_z = 0.0
     for key in ("min", "max", "x"):
         mean = sums[key] / reps
@@ -259,12 +255,10 @@ def estimator_suite(seed: int = 0, n_mean_samples: int = 100_000,
     h0 = 8
     full_min = exact_grad_policy(game, model, pmin, pmax, "min")
     full_x = exact_grad_x(game, model, pmin, pmax)
-    bias = lambda h: (
-        np.linalg.norm(exact_grad_policy_truncated(game, model, pmin, pmax,
-                                                   h, "min") - full_min)
-        + np.linalg.norm(exact_grad_x_truncated(game, model, pmin, pmax, h)
-                         - full_x))
-    decay = bias(h0 + 10) / bias(h0)
+    truncated = [exact_grads_truncated(game, model, pmin, pmax, h) for h in (h0, h0 + 10)]
+    bias = [np.linalg.norm(gmin - full_min) + np.linalg.norm(gx - full_x)
+            for gmin, _, gx in truncated]
+    decay = bias[1] / bias[0]
     target = game.discount ** 10
     worst_decay = max(decay / target, target / decay)
 

@@ -30,6 +30,8 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
+import numbers
 import os
 import sys
 import time
@@ -97,13 +99,17 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     if not isinstance(env, dict) or "name" not in env:
         raise ConfigError('config requires "env": {"name": ...}')
     env_name = env["name"]
-    if env_name not in ENV_SPECS:
+    if not isinstance(env_name, str) or env_name not in ENV_SPECS:
         raise ConfigError(f"unknown environment {env_name!r}")
     env_overrides = {k: _tuplize(v) for k, v in env.items() if k != "name"}
-    spec_fields = {f.name for f in dataclasses.fields(ENV_SPECS[env_name][0])}
-    unknown = set(env_overrides) - spec_fields
+    spec = ENV_SPECS[env_name][0]
+    unknown = set(env_overrides) - {f.name for f in dataclasses.fields(spec)}
     if unknown:
         raise ConfigError(f"unknown env fields for {env_name!r}: {sorted(unknown)}")
+    try:
+        spec(**env_overrides)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid env values: {e}") from e
 
     optimizers = raw.get("optimizers")
     if (not isinstance(optimizers, list) or not optimizers
@@ -151,6 +157,15 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     unknown = set(oracle_options) - _ORACLE_OPTION_KEYS
     if unknown:
         raise ConfigError(f"unknown oracle_options: {sorted(unknown)}")
+    cap = oracle_options.get("inner_cap", 1)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ConfigError(f"oracle_options.inner_cap must be an integer >= 1, got {cap!r}")
+    for key, positive in (("inner_tol", False), ("br_tol", True)):
+        v = oracle_options.get(key, 1.0)
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+                or v < 0 or (positive and v == 0)):
+            raise ConfigError(f"oracle_options.{key} must be a finite real "
+                              f"{'> 0' if positive else '>= 0'}, got {v!r}")
 
     try:
         base = PandaConfig(**base_fields)

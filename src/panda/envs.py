@@ -46,20 +46,35 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_counts(spec, names):
+    for name in names:
+        v = getattr(spec, name)
+        if not _is_int(v) or v < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 # --------------------------------------------------------------------------
 # Synthetic incentive-design instance
 # --------------------------------------------------------------------------
 
 @dataclass
 class SyntheticSpec:
+    """Sizes and horizon are integers >= 1; `MarkovGame` checks discount and tau."""
+
     n_states: int = 5
     n_actions: int = 3
     discount: float = 0.99
     tau: float = 0.1
     ul_horizon: int = 3
     incentive_scale: float = 1.0
-    share_dynamics: bool = False  # reuse the game dynamics for the designer MDP
     seed: int = 0
+
+    def __post_init__(self):
+        _check_counts(self, ("n_states", "n_actions", "ul_horizon"))
 
 
 @dataclass
@@ -82,7 +97,7 @@ class SyntheticUL:
         return -finite_horizon_value(*self._kernel_args(policy_min, policy_max))
 
     def grad_policies_exact(self, model, policy_min, policy_max):
-        gmin, gmax = finite_horizon_grad(*self._kernel_args(policy_min, policy_max))
+        gmin, gmax, _ = finite_horizon_grad(*self._kernel_args(policy_min, policy_max))
         return -gmin, -gmax
 
     def grad_x_exact(self, model, policy_min, policy_max) -> np.ndarray:
@@ -120,25 +135,21 @@ class EnvBundle:
     game: MarkovGame
     model: RewardModel
     ul: object
-    horizon: int  # trajectory truncation for lower-level estimators
 
 
 def build_synthetic(spec: SyntheticSpec) -> EnvBundle:
     """Seeded dense random game plus a designer MDP on the same action sets.
 
     Draw order (stable across versions): game transitions, base payoff,
-    designer transitions (skipped when shared), designer rewards.
+    designer transitions, designer rewards.
     """
     rng = np.random.default_rng(spec.seed)
     s, a = spec.n_states, spec.n_actions
     p = rng.uniform(0.0, 1.0, size=(s, a, a, s))
     p /= p.sum(axis=3, keepdims=True)
     base = rng.uniform(0.0, 1.0, size=(s, a, a))
-    if spec.share_dynamics:
-        p_id = p
-    else:
-        p_id = rng.uniform(0.0, 1.0, size=(s, a, a, s))
-        p_id /= p_id.sum(axis=3, keepdims=True)
+    p_id = rng.uniform(0.0, 1.0, size=(s, a, a, s))
+    p_id /= p_id.sum(axis=3, keepdims=True)
     r_id = rng.uniform(0.0, 1.0, size=(s, a, a))
 
     rho = np.full(s, 1.0 / s)
@@ -151,8 +162,7 @@ def build_synthetic(spec: SyntheticSpec) -> EnvBundle:
     reward_id = RewardModel(base=r_id, incentive_params=np.zeros((s, a, a)),
                             incentive_scale=0.0)
     ul = SyntheticUL(mdp=mdp, reward_id=reward_id, horizon=spec.ul_horizon)
-    return EnvBundle(name="synthetic", game=game, model=model, ul=ul,
-                     horizon=spec.ul_horizon)
+    return EnvBundle(name="synthetic", game=game, model=model, ul=ul)
 
 
 # --------------------------------------------------------------------------
@@ -161,6 +171,8 @@ def build_synthetic(spec: SyntheticSpec) -> EnvBundle:
 
 @dataclass
 class GridSpec:
+    """Sizes and step cap are integers >= 1, cells (row, col) on the grid, spawns non-empty."""
+
     width: int = 5
     height: int = 5
     sentinel_spawn: tuple = (0, 4)
@@ -172,6 +184,19 @@ class GridSpec:
     max_steps: int = 20
     discount: float = 0.99
     tau: float = 0.1
+
+    def __post_init__(self):
+        _check_counts(self, ("width", "height", "max_steps"))
+        if not self.intruder_spawns:
+            raise ValueError("intruder_spawns must not be empty")
+        cells = [("sentinel_spawn", self.sentinel_spawn), ("target", self.target)]
+        cells += [(name, rc) for name in ("intruder_spawns", "restricted")
+                  for rc in getattr(self, name)]
+        for name, rc in cells:
+            if not (isinstance(rc, (tuple, list)) and len(rc) == 2 and all(map(_is_int, rc))
+                    and 0 <= rc[0] < self.height and 0 <= rc[1] < self.width):
+                raise ValueError(f"{name} cell {rc!r} is not on the "
+                                 f"{self.height}x{self.width} grid")
 
     def cell(self, rc) -> int:
         return rc[0] * self.width + rc[1]
@@ -207,7 +232,7 @@ class SentinelUL:
         return finite_horizon_value(*self._kernel_args(policy_min, policy_max))
 
     def grad_policies_exact(self, model, policy_min, policy_max):
-        return finite_horizon_grad(*self._kernel_args(policy_min, policy_max))
+        return finite_horizon_grad(*self._kernel_args(policy_min, policy_max))[:2]
 
     def grad_x_exact(self, model, policy_min, policy_max) -> np.ndarray:
         return np.zeros_like(model.incentive_params)
@@ -307,8 +332,7 @@ def build_sentinel(spec: GridSpec) -> EnvBundle:
     restricted_state[terminal] = False
 
     ul = SentinelUL(game=game, restricted_state=restricted_state, horizon=spec.max_steps)
-    return EnvBundle(name="sentinel", game=game, model=model, ul=ul,
-                     horizon=spec.max_steps)
+    return EnvBundle(name="sentinel", game=game, model=model, ul=ul)
 
 
 # name -> (spec dataclass, builder); a config's env overrides are spec fields

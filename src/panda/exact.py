@@ -54,8 +54,7 @@ __all__ = [
     "exact_grad_x",
     "finite_horizon_value",
     "finite_horizon_grad",
-    "exact_grad_policy_truncated",
-    "exact_grad_x_truncated",
+    "exact_grads_truncated",
     "pl_constant",
 ]
 
@@ -391,8 +390,8 @@ def _grad_policy(y, z, d_over, w, side):
     return _score_rows(z, np.einsum("sab,sa->sb", w, y), d_over)
 
 
-def _grad_x(y, z, d_over, g):
-    return d_over[:, None, None] * y[:, :, None] * z[:, None, :] * g
+def _grad_x(y, z, weights, g):
+    return weights[:, None, None] * y[:, :, None] * z[:, None, :] * g
 
 
 def exact_grad_policy(game: MarkovGame, model: RewardModel, policy_min, policy_max, side) -> np.ndarray:
@@ -442,7 +441,8 @@ def finite_horizon_grad(game: MarkovGame, stage, y, z, horizon, gamma):
     A backward recursion builds the step-t action values
     q_t = stage + gamma * P v_{t+1} (zero on absorbing states); a forward pass
     then weights each step's score-function rows by gamma^t times the
-    step-t state distribution.  Returns (grad_min, grad_max).
+    step-t state distribution p_t.  Returns (grad_min, grad_max, occupancy),
+    occupancy = sum_t gamma^t p_t weighting the gradient in stage parameters.
     """
     p_yz = game.fold_pair(y, z)
     v_next = np.zeros(game.n_states)
@@ -455,37 +455,24 @@ def finite_horizon_grad(game: MarkovGame, stage, y, z, horizon, gamma):
 
     gmin = np.zeros_like(y)
     gmax = np.zeros_like(z)
+    occupancy = np.zeros(game.n_states)
     pt = game.init_dist
     for t, q in enumerate(reversed(qs)):  # q holds the step-t action values
         sc = (gamma ** t) * pt
         gmin += _score_rows(y, np.einsum("sab,sb->sa", q, z), sc)
         gmax += _score_rows(z, np.einsum("sab,sa->sb", q, y), sc)
+        occupancy += sc
         pt = p_yz.T @ pt
-    return gmin, gmax
+    return gmin, gmax, occupancy
 
 
-def exact_grad_policy_truncated(game: MarkovGame, model: RewardModel, policy_min,
-                                policy_max, horizon, side) -> np.ndarray:
-    """Exact gradient of the horizon-truncated J; the sampled estimator's mean."""
-    if side not in ("min", "max"):
-        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
+def exact_grads_truncated(game: MarkovGame, model: RewardModel, policy_min,
+                          policy_max, horizon):
+    """Exact (grad_min, grad_max, grad_x) of the horizon-truncated J: the estimators' means."""
     y, z = probs(policy_min), probs(policy_max)
     stage = _regularized_stage(game, effective_reward(game, model), y, z)
-    gmin, gmax = finite_horizon_grad(game, stage, y, z, horizon, game.discount)
-    return gmin if side == "min" else gmax
-
-
-def exact_grad_x_truncated(game: MarkovGame, model: RewardModel, policy_min,
-                           policy_max, horizon) -> np.ndarray:
-    y, z = probs(policy_min), probs(policy_max)
-    g = effective_reward_grad_x(game, model)
-    p_yz = game.fold_pair(y, z)
-    pt = game.init_dist.copy()
-    grad = np.zeros_like(g)
-    for t in range(horizon):
-        grad += (game.discount ** t) * pt[:, None, None] * y[:, :, None] * z[:, None, :] * g
-        pt = p_yz.T @ pt
-    return grad
+    gmin, gmax, occupancy = finite_horizon_grad(game, stage, y, z, horizon, game.discount)
+    return gmin, gmax, _grad_x(y, z, occupancy, effective_reward_grad_x(game, model))
 
 
 # --------------------------------------------------------------------------

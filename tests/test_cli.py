@@ -64,6 +64,35 @@ def test_load_experiment_resolves_defaults(tmp_path):
     (lambda c: c.update(name=".."), "plain file name"),
     (lambda c: c.update(name=""), "plain file name"),
     (lambda c: c.update(name=7), "plain file name"),
+    (lambda c: c.update(oracle_options={"inner_cap": 1.5}),
+     "inner_cap must be an integer >= 1, got 1.5"),
+    (lambda c: c.update(oracle_options={"inner_cap": -1}),
+     "inner_cap must be an integer >= 1, got -1"),
+    (lambda c: c.update(oracle_options={"inner_cap": True}),
+     "inner_cap must be an integer >= 1, got True"),
+    (lambda c: c.update(oracle_options={"inner_tol": "x"}),
+     "inner_tol must be a finite real >= 0, got 'x'"),
+    (lambda c: c.update(oracle_options={"inner_tol": -1e-6}),
+     "inner_tol must be a finite real >= 0, got -1e-06"),
+    (lambda c: c.update(oracle_options={"br_tol": -1.0}),
+     "br_tol must be a finite real > 0, got -1.0"),
+    (lambda c: c.update(oracle_options={"br_tol": 0.0}),
+     "br_tol must be a finite real > 0, got 0.0"),
+    (lambda c: c.update(env={"name": ["sentinel"]}), "unknown environment .'sentinel'."),
+    (lambda c: c.update(env={"name": "sentinel", "width": 0}), "width must be an integer >= 1"),
+    (lambda c: c.update(env={"name": "sentinel", "height": 2.0}), "height must be an integer"),
+    (lambda c: c.update(env={"name": "sentinel", "sentinel_spawn": [9, 9]}),
+     "sentinel_spawn cell .* is not on the 5x5 grid"),
+    (lambda c: c.update(env={"name": "sentinel", "restricted": [[1, 5]]}),
+     "restricted cell"),
+    (lambda c: c.update(env={"name": "sentinel", "intruder_spawns": []}),
+     "intruder_spawns must not be empty"),
+    (lambda c: c.update(env={"name": "sentinel", "max_steps": -1}),
+     "max_steps must be an integer >= 1"),
+    (lambda c: c.update(env={"name": "synthetic", "n_states": 0}),
+     "n_states must be an integer >= 1"),
+    (lambda c: c.update(env={"name": "synthetic", "ul_horizon": True}),
+     "ul_horizon must be an integer"),
 ])
 def test_load_experiment_rejects_bad_configs(tmp_path, mutate, msg):
     cfg = json.loads(write_config(tmp_path).read_text())
@@ -146,6 +175,19 @@ def test_run_invalid_env_value_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid env values") and "discount" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("env,field", [
+    ({"name": "synthetic", "n_states": 0}, "n_states"),
+    ({"name": "sentinel", "width": 0}, "width"),
+])
+def test_run_invalid_env_size_exits_2_at_load(tmp_path, capsys, env, field):
+    path = write_config(tmp_path, env=env)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid env values") and field in err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_run_name_cannot_leave_out_dir(tmp_path, capsys):

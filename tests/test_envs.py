@@ -4,6 +4,7 @@ import pytest
 from panda.envs import (
     GridSpec,
     SyntheticSpec,
+    build_env,
     build_sentinel,
     build_synthetic,
 )
@@ -35,7 +36,7 @@ def test_synthetic_shapes_and_defaults():
     assert env.game.n_actions_min == 3 and env.game.n_actions_max == 3
     assert env.game.discount == 0.99
     assert env.game.tau_min == 0.1 and env.game.tau_max == 0.1
-    assert env.horizon == 3
+    assert env.ul.horizon == 3
     assert np.all(env.model.incentive_params == 0.0)
     np.testing.assert_allclose(env.game.init_dist, 0.2)
 
@@ -43,13 +44,6 @@ def test_synthetic_shapes_and_defaults():
 def test_synthetic_zero_incentive_rewards():
     env = build_synthetic(SyntheticSpec(seed=1))
     np.testing.assert_allclose(env.model.values(), env.model.base + 0.5, atol=1e-15)
-
-
-def test_synthetic_share_dynamics_flag():
-    shared = build_synthetic(SyntheticSpec(seed=5, share_dynamics=True))
-    split = build_synthetic(SyntheticSpec(seed=5, share_dynamics=False))
-    assert np.array_equal(shared.ul.mdp.transition, shared.game.transition)
-    assert not np.array_equal(split.ul.mdp.transition, split.game.transition)
 
 
 def test_synthetic_ul_constant_reward_value():
@@ -207,7 +201,7 @@ def test_sentinel_spawn_capture_single_step():
 def test_sentinel_episode_cap():
     env = build_sentinel(GridSpec())
     pmin, pmax = uniform_pols(env)
-    batch = sample_batch(env.game, env.model, pmin, pmax, 64, env.horizon, RngStream(6))
+    batch = sample_batch(env.game, env.model, pmin, pmax, 64, env.ul.horizon, RngStream(6))
     assert batch.states.shape == (64, 20)
     assert batch.lengths.max() <= 20
 
@@ -224,7 +218,7 @@ def test_sentinel_ul_value_against_sampled_episodes():
     env = build_sentinel(GridSpec())
     pmin, pmax = uniform_pols(env)
     exact = env.ul.value_exact(env.model, pmin, pmax)
-    batch = sample_batch(env.game, env.model, pmin, pmax, 4000, env.horizon, RngStream(8))
+    batch = sample_batch(env.game, env.model, pmin, pmax, 4000, env.ul.horizon, RngStream(8))
     counts = np.array([env.ul.restricted_state[s[:m]].sum()
                        for s, m in zip(batch.states, batch.lengths)], dtype=float)
     se = counts.std(ddof=1) / np.sqrt(len(counts))
@@ -273,6 +267,37 @@ def test_sentinel_ul_estimator_unbiased():
         assert np.all(err <= 4 * se + 1e-6), (err.max(), se.max())
 
 
+@pytest.mark.parametrize("name,n_batches", [("synthetic", 800), ("sentinel", 200)])
+def test_ul_estimators_agree_with_exact(name, n_batches):
+    """Both UL objectives' sampled value and policy gradient against the exact layer.
+
+    z-scores of batch means over distinct `outer` coordinates, for the value
+    and for four projections of the (min, max) gradient: along the exact
+    gradient and along three fixed random directions.  Per-entry z-scores
+    would not do: on the grid, rarely visited entries have a near-zero
+    standard error.
+    """
+    env = build_env(name)
+    game, model, ul = env.game, env.model, env.ul
+    rng = np.random.default_rng(49)
+    pmin = TabularPolicy(rng.normal(size=(game.n_states, game.n_actions_min)))
+    pmax = TabularPolicy(rng.normal(size=(game.n_states, game.n_actions_max)))
+    exact_grad = np.concatenate([g.ravel() for g in ul.grad_policies_exact(model, pmin, pmax)])
+    dirs = np.vstack([exact_grad, rng.normal(size=(3, exact_grad.size))])
+    exact = np.concatenate([[ul.value_exact(model, pmin, pmax)], dirs @ exact_grad])
+    stream, batch = RngStream(50), 16
+    samples = np.empty((n_batches, 5))
+    for outer in range(n_batches):
+        samples[outer, 0], _ = ul.value_estimate(model, pmin, pmax, batch, stream,
+                                                 purpose=0, outer=outer)
+        gmin, gmax, _ = ul.grad_policies_estimate(model, pmin, pmax, batch, stream,
+                                                  purpose=1, outer=outer)
+        samples[outer, 1:] = dirs @ np.concatenate([gmin.ravel(), gmax.ravel()])
+    se = samples.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    z = (samples.mean(axis=0) - exact) / se
+    assert np.all(np.abs(z) <= 4.0), z
+
+
 def _per_row_reinforce(batch, rewards, pol, side, gamma):
     """REINFORCE batch mean from a loop over rows, reading only [:lengths[i]]."""
     probs = pol.probs_all()
@@ -298,8 +323,8 @@ def test_padded_steps_never_leak():
     pmin = TabularPolicy(0.3 * rng.normal(size=(game.n_states, 5)))
     pmax = TabularPolicy(0.3 * rng.normal(size=(game.n_states, 5)))
     coords = dict(purpose=4, outer=2, inner=1)
-    batch = sample_batch(game, model, pmin, pmax, 64, env.horizon, RngStream(48), **coords)
-    assert (batch.lengths < env.horizon).any() and (batch.lengths == env.horizon).any()
+    batch = sample_batch(game, model, pmin, pmax, 64, env.ul.horizon, RngStream(48), **coords)
+    assert (batch.lengths < env.ul.horizon).any() and (batch.lengths == env.ul.horizon).any()
 
     # upper level: the sentinel's restricted-step counts
     counts = [env.ul.restricted_state[batch.states[i, :m]].astype(float)

@@ -9,16 +9,15 @@ Monte-Carlo rollouts for the visitation distribution.
 import numpy as np
 import pytest
 
-from panda.game import MarkovGame, RewardModel, TabularPolicy
+from panda.game import MarkovGame, RewardModel, TabularPolicy, effective_reward_grad_x
 from panda.exact import (
     SaddleSolveError,
     ValueIterationError,
     bellman_policy_operator,
     best_response,
     exact_grad_policy,
-    exact_grad_policy_truncated,
     exact_grad_x,
-    exact_grad_x_truncated,
+    exact_grads_truncated,
     j_value,
     ni_gap,
     ni_gradients,
@@ -493,7 +492,7 @@ def test_truncated_grad_single_step_enumeration():
     pmin, pmax = random_policies(rng, 2, 2, 2)
     y, z = pmin.probs_all(), pmax.probs_all()
     r = model.values()
-    got = exact_grad_policy_truncated(game, model, pmin, pmax, 1, "min")
+    got = exact_grads_truncated(game, model, pmin, pmax, 1)[0]
     want = np.zeros_like(y)
     for s in range(2):
         for a in range(2):
@@ -505,19 +504,34 @@ def test_truncated_grad_single_step_enumeration():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_truncated_grad_x_matches_forward_loop():
+    # the x-gradient weights the score-free rows y z dr/dx by sum_t gamma^t p_t;
+    # reference: one term per step along the forward state distributions
+    game, model = random_game(109, n_states=4, na=2, nb=3, gamma=0.9, n_absorbing=1, scale=0.8)
+    pmin, pmax = random_policies(np.random.default_rng(25), 4, 2, 3)
+    y, z = pmin.probs_all(), pmax.probs_all()
+    p_yz = np.einsum("sabn,sa,sb->sn", game.transition, y, z)
+    rows = y[:, :, None] * z[:, None, :] * effective_reward_grad_x(game, model)
+    want, pt = np.zeros_like(rows), game.init_dist.copy()
+    for t in range(7):
+        want += game.discount ** t * pt[:, None, None] * rows
+        pt = p_yz.T @ pt
+    np.testing.assert_allclose(exact_grads_truncated(game, model, pmin, pmax, 7)[2], want,
+                               rtol=1e-13, atol=1e-15)
+
+
 def test_truncated_grads_converge_to_full():
     game, model = random_game(107, n_states=3, na=2, nb=2, gamma=0.9)
     rng = np.random.default_rng(24)
     pmin, pmax = random_policies(rng, 3, 2, 2)
     full = exact_grad_policy(game, model, pmin, pmax, "min")
-    t200 = exact_grad_policy_truncated(game, model, pmin, pmax, 200, "min")
+    t200, _, tx = exact_grads_truncated(game, model, pmin, pmax, 200)
     np.testing.assert_allclose(t200, full, atol=1e-6)
     fx = exact_grad_x(game, model, pmin, pmax)
-    tx = exact_grad_x_truncated(game, model, pmin, pmax, 200)
     np.testing.assert_allclose(tx, fx, atol=1e-6)
     # truncation error shrinks roughly like gamma^H
-    e40 = np.linalg.norm(exact_grad_policy_truncated(game, model, pmin, pmax, 40, "min") - full)
-    e80 = np.linalg.norm(exact_grad_policy_truncated(game, model, pmin, pmax, 80, "min") - full)
+    e40 = np.linalg.norm(exact_grads_truncated(game, model, pmin, pmax, 40)[0] - full)
+    e80 = np.linalg.norm(exact_grads_truncated(game, model, pmin, pmax, 80)[0] - full)
     assert e80 < e40 * 0.9 ** 30
 
 

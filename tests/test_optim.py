@@ -14,8 +14,7 @@ from conftest import random_game, random_policies
 from panda import optim
 from panda.cli import load_experiment
 from panda.envs import EnvBundle, SyntheticSpec, build_env, build_synthetic
-from panda.exact import (exact_grad_policy_truncated, exact_grad_x_truncated, ni_gap,
-                         ni_gradients, solve_ne)
+from panda.exact import exact_grads_truncated, ni_gap, ni_gradients, solve_ne
 from panda.game import TabularPolicy
 from panda.optim import (
     NonFiniteGradientError,
@@ -62,11 +61,10 @@ class ZeroUL:
         return np.zeros_like(model.incentive_params), 0
 
 
-def zero_ul_env(seed=0, n_states=3, na=2, nb=2, gamma=0.8, horizon=40, **kw):
+def zero_ul_env(seed=0, n_states=3, na=2, nb=2, gamma=0.8, **kw):
     game, model = random_game(seed, n_states=n_states, na=na, nb=nb,
                               gamma=gamma, **kw)
-    return EnvBundle(name="stub", game=game, model=model, ul=ZeroUL(),
-                     horizon=horizon)
+    return EnvBundle(name="stub", game=game, model=model, ul=ZeroUL())
 
 
 def test_config_validation():
@@ -300,12 +298,9 @@ class TruncatedExact:
         self.env, self.horizon = env, cfg.horizon
 
     def j_grad(self, model_x, policy_min, policy_max, side, purpose, outer, inner):
-        game = self.env.game
-        if side == "x":
-            return exact_grad_x_truncated(game, model_x, policy_min, policy_max,
-                                          self.horizon), 0
-        return exact_grad_policy_truncated(game, model_x, policy_min, policy_max,
-                                           self.horizon, side), 0
+        grads = exact_grads_truncated(self.env.game, model_x, policy_min, policy_max,
+                                      self.horizon)
+        return grads[("min", "max", "x").index(side)], 0
 
     def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
         return (*self.env.ul.grad_policies_exact(model_x, policy_min, policy_max), 0)
@@ -343,7 +338,7 @@ def test_inner_updates_unbiased_at_equilibrium():
     gradients are drawn, so the update mean carries an O(eta_shadow^2) term;
     with a small shadow step it sits inside the Monte Carlo error band.
     """
-    env = zero_ul_env(seed=9, gamma=0.75, horizon=40, reward_lo=0.0, reward_hi=1.0)
+    env = zero_ul_env(seed=9, gamma=0.75, reward_lo=0.0, reward_hi=1.0)
     ne = solve_ne(env.game, env.model)
     ne_min = TabularPolicy(np.log(ne.policy_min))
     ne_max = TabularPolicy(np.log(ne.policy_max))
@@ -376,7 +371,7 @@ def test_non_finite_gradient_raises():
             return bad, np.zeros_like(policy_max.logits), 0
 
     game, model = random_game(10, n_states=3, na=2, nb=2, gamma=0.8)
-    env = EnvBundle(name="bad", game=game, model=model, ul=BadUL(), horizon=10)
+    env = EnvBundle(name="bad", game=game, model=model, ul=BadUL())
     with pytest.raises(NonFiniteGradientError) as exc:
         run_panda(env, PandaConfig(outer_iters=2, inner_iters=1, seed=0))
     assert exc.value.optimizer == "panda"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from panda.game import MarkovGame, RewardModel, TabularPolicy
-from panda.exact import exact_grad_policy_truncated, exact_grad_x_truncated
+from panda.exact import exact_grads_truncated
 from panda.sampling import (
     RngStream,
     _successors,
@@ -172,7 +172,7 @@ def test_estimate_grad_policy_unbiased_for_truncated_gradient():
     rng = np.random.default_rng(34)
     pmin, pmax = random_policies(rng, 3, 2, 2)
     horizon = 4
-    exact = exact_grad_policy_truncated(game, model, pmin, pmax, horizon, "min")
+    exact = exact_grads_truncated(game, model, pmin, pmax, horizon)[0]
     stream = RngStream(11)
     chunks = []
     for rep in range(400):
@@ -188,7 +188,7 @@ def test_estimate_grad_x_unbiased_for_truncated_gradient():
     rng = np.random.default_rng(35)
     pmin, pmax = random_policies(rng, 3, 2, 2)
     horizon = 4
-    exact = exact_grad_x_truncated(game, model, pmin, pmax, horizon)
+    exact = exact_grads_truncated(game, model, pmin, pmax, horizon)[2]
     stream = RngStream(12)
     chunks = []
     for rep in range(400):
@@ -205,7 +205,7 @@ def test_estimate_grad_policy_symmetric_game_is_mean_zero():
     model = RewardModel(base=np.zeros((1, 2, 2)), incentive_params=np.zeros((1, 2, 2)),
                         incentive_scale=0.0)
     pol = TabularPolicy(np.zeros((1, 2)))
-    exact = exact_grad_policy_truncated(game, model, pol, pol, 3, "max")
+    exact = exact_grads_truncated(game, model, pol, pol, 3)[1]
     np.testing.assert_allclose(exact, 0.0, atol=1e-14)
     stream = RngStream(13)
     chunks = []
