@@ -66,10 +66,7 @@ def operator_suite(n_instances: int = 50, seed: int = 0) -> list[CheckResult]:
     """Contraction, monotonicity, and constant-shift identities of both
     Bellman operators on seeded (game, value-vector) instances."""
     rng = np.random.default_rng(seed)
-    worst = {k: 0.0 for k in
-             ("policy-contraction", "policy-monotonicity", "policy-shift",
-              "optimality-contraction", "optimality-monotonicity",
-              "optimality-shift")}
+    worst = {}
     for _ in range(n_instances):
         n, na, nb = rng.integers(2, 6), rng.integers(2, 4), rng.integers(2, 4)
         gamma = rng.uniform(0.5, 0.99)
@@ -78,32 +75,16 @@ def operator_suite(n_instances: int = 50, seed: int = 0) -> list[CheckResult]:
         v1 = rng.normal(scale=3.0, size=n)
         v2 = rng.normal(scale=3.0, size=n)
         c = float(rng.uniform(0.5, 4.0))
-
-        tp1 = bellman_policy_operator(game, model, pmin, pmax, v1)
-        tp2 = bellman_policy_operator(game, model, pmin, pmax, v2)
-        to1, _, _ = soft_bellman_optimality(game, model, v1)
-        to2, _, _ = soft_bellman_optimality(game, model, v2)
         dv = np.abs(v1 - v2).max()
-
-        worst["policy-contraction"] = max(
-            worst["policy-contraction"], np.abs(tp1 - tp2).max() - gamma * dv)
-        worst["optimality-contraction"] = max(
-            worst["optimality-contraction"], np.abs(to1 - to2).max() - gamma * dv)
-
-        hi = np.maximum(v1, v2)
-        tph = bellman_policy_operator(game, model, pmin, pmax, hi)
-        toh, _, _ = soft_bellman_optimality(game, model, hi)
-        worst["policy-monotonicity"] = max(
-            worst["policy-monotonicity"], float((tp1 - tph).max()))
-        worst["optimality-monotonicity"] = max(
-            worst["optimality-monotonicity"], float((to1 - toh).max()))
-
-        tpc = bellman_policy_operator(game, model, pmin, pmax, v1 + c)
-        toc, _, _ = soft_bellman_optimality(game, model, v1 + c)
-        worst["policy-shift"] = max(
-            worst["policy-shift"], np.abs(tpc - (tp1 + gamma * c)).max())
-        worst["optimality-shift"] = max(
-            worst["optimality-shift"], np.abs(toc - (to1 + gamma * c)).max())
+        operators = {"policy": lambda v: bellman_policy_operator(game, model, pmin, pmax, v),
+                     "optimality": lambda v: soft_bellman_optimality(game, model, v)[0]}
+        for op, apply in operators.items():
+            t1, t2, t_hi, t_c = map(apply, (v1, v2, np.maximum(v1, v2), v1 + c))
+            for prop, violation in (("contraction", np.abs(t1 - t2).max() - gamma * dv),
+                                    ("monotonicity", (t1 - t_hi).max()),
+                                    ("shift", np.abs(t_c - (t1 + gamma * c)).max())):
+                key = f"{op}-{prop}"
+                worst[key] = max(worst.get(key, 0.0), violation)
     return [CheckResult(k, float(v), 1e-10) for k, v in worst.items()]
 
 
@@ -150,8 +131,13 @@ def equilibrium_suite(n_games: int = 20, seed: int = 0) -> list[CheckResult]:
 # Gradient suite
 # --------------------------------------------------------------------------
 
-def _j_at(game, model, logits_min, logits_max):
-    return j_value(game, model, TabularPolicy(logits_min), TabularPolicy(logits_max))
+def _central_difference(f, params, index, eps):
+    """(f(params + eps e_index) - f(params - eps e_index)) / (2 eps)."""
+    p = params.copy()
+    p[index] += eps
+    up = f(p)
+    p[index] -= 2 * eps
+    return (up - f(p)) / (2 * eps)
 
 
 def gradient_suite(n_points: int = 20, seed: int = 0,
@@ -164,37 +150,20 @@ def gradient_suite(n_points: int = 20, seed: int = 0,
         gamma = float(rng.uniform(0.5, 0.97))
         game, model = _random_instance(rng, n, na, nb, gamma)
         pmin, pmax = _random_pols(rng, n, na, nb)
-        gmin = exact_grad_policy(game, model, pmin, pmax, "min")
-        gmax = exact_grad_policy(game, model, pmin, pmax, "max")
-        gx = exact_grad_x(game, model, pmin, pmax)
-        coords = [(int(rng.integers(n)), int(rng.integers(na))) for _ in range(4)]
-        for (i, j) in coords:
-            lp = pmin.logits.copy(); lp[i, j] += eps
-            up = _j_at(game, model, lp, pmax.logits)
-            lp[i, j] -= 2 * eps
-            dn = _j_at(game, model, lp, pmax.logits)
-            fd = (up - dn) / (2 * eps)
-            worst["grad-min-fd"] = max(
-                worst["grad-min-fd"], abs(fd - gmin[i, j]) / (1.0 + abs(fd)))
-        coords = [(int(rng.integers(n)), int(rng.integers(nb))) for _ in range(4)]
-        for (i, j) in coords:
-            lp = pmax.logits.copy(); lp[i, j] += eps
-            up = _j_at(game, model, pmin.logits, lp)
-            lp[i, j] -= 2 * eps
-            dn = _j_at(game, model, pmin.logits, lp)
-            fd = (up - dn) / (2 * eps)
-            worst["grad-max-fd"] = max(
-                worst["grad-max-fd"], abs(fd - gmax[i, j]) / (1.0 + abs(fd)))
-        for _ in range(4):
-            i, a, b = (int(rng.integers(n)), int(rng.integers(na)),
-                       int(rng.integers(nb)))
-            xp = model.incentive_params.copy(); xp[i, a, b] += eps
-            up = j_value(game, model.with_params(xp), pmin, pmax)
-            xp[i, a, b] -= 2 * eps
-            dn = j_value(game, model.with_params(xp), pmin, pmax)
-            fd = (up - dn) / (2 * eps)
-            worst["grad-x-fd"] = max(
-                worst["grad-x-fd"], abs(fd - gx[i, a, b]) / (1.0 + abs(fd)))
+        # (name, exact gradient, J as a function of the block, the block's values)
+        blocks = (
+            ("grad-min-fd", exact_grad_policy(game, model, pmin, pmax, "min"),
+             lambda lp: j_value(game, model, TabularPolicy(lp), pmax), pmin.logits),
+            ("grad-max-fd", exact_grad_policy(game, model, pmin, pmax, "max"),
+             lambda lp: j_value(game, model, pmin, TabularPolicy(lp)), pmax.logits),
+            ("grad-x-fd", exact_grad_x(game, model, pmin, pmax),
+             lambda xp: j_value(game, model.with_params(xp), pmin, pmax), model.incentive_params),
+        )
+        for name, grad, f, params in blocks:
+            for _ in range(4):
+                index = tuple(int(rng.integers(k)) for k in params.shape)
+                fd = _central_difference(f, params, index, eps)
+                worst[name] = max(worst[name], abs(fd - grad[index]) / (1.0 + abs(fd)))
     return [CheckResult(k, float(v), 1e-5) for k, v in worst.items()]
 
 

@@ -78,7 +78,20 @@ def _tuplize(value):
     return value
 
 
+def _checked(what: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, its type and value errors raised as `ConfigError`."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {what} values: {e}") from e
+
+
 def load_experiment(path: str | Path) -> ExperimentConfig:
+    """Parse and check an experiment config, raising `ConfigError` on any bad value.
+
+    The environment is built once, so each env value is checked by the code
+    that uses it, and each optimizer's merged `PandaConfig` is built once.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -102,14 +115,10 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     if not isinstance(env_name, str) or env_name not in ENV_SPECS:
         raise ConfigError(f"unknown environment {env_name!r}")
     env_overrides = {k: _tuplize(v) for k, v in env.items() if k != "name"}
-    spec = ENV_SPECS[env_name][0]
-    unknown = set(env_overrides) - {f.name for f in dataclasses.fields(spec)}
+    unknown = set(env_overrides) - {f.name for f in dataclasses.fields(ENV_SPECS[env_name][0])}
     if unknown:
         raise ConfigError(f"unknown env fields for {env_name!r}: {sorted(unknown)}")
-    try:
-        spec(**env_overrides)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid env values: {e}") from e
+    _checked("env", build_env, env_name, **env_overrides)
 
     optimizers = raw.get("optimizers")
     if (not isinstance(optimizers, list) or not optimizers
@@ -167,54 +176,43 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"oracle_options.{key} must be a finite real "
                               f"{'> 0' if positive else '>= 0'}, got {v!r}")
 
-    try:
-        base = PandaConfig(**base_fields)
-        for opt in optimizers:
-            fields = dataclasses.asdict(base)
-            fields.update(overrides.get(opt, {}))
-            PandaConfig(**fields)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid config values: {e}") from e
-
     name = raw.get("name", path.stem)
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
         raise ConfigError(f'"name" must be a plain file name, got {name!r}')
 
-    return ExperimentConfig(
+    exp = ExperimentConfig(
         name=name,
         env_name=env_name, env_overrides=env_overrides,
         optimizers=list(optimizers), seeds=list(seeds),
-        base=base, overrides={k: dict(v) for k, v in overrides.items()},
+        base=_checked("config", PandaConfig, **base_fields),
+        overrides={k: dict(v) for k, v in overrides.items()},
         oracle_options=dict(oracle_options),
     )
+    for opt in exp.optimizers:
+        _checked("config", exp.config_for, opt, exp.seeds[0])
+    return exp
 
 
 # --------------------------------------------------------------------------
 # Running experiments
 # --------------------------------------------------------------------------
 
-def _run_one(payload: dict) -> dict:
-    """Worker: one (optimizer, seed) run; returns plain picklable rows."""
-    try:
-        env = build_env(payload["env_name"], **payload["env_overrides"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid env values: {e}") from e
-    cfg = PandaConfig(**payload["cfg"])
-    runner = OPTIMIZERS[payload["optimizer"]]
+def _run_one(exp: ExperimentConfig, optimizer: str, seed: int) -> dict:
+    """Worker: one (optimizer, seed) run of a loaded config; returns plain picklable rows."""
+    env = build_env(exp.env_name, **exp.env_overrides)
+    cfg = exp.config_for(optimizer, seed)
+    options = exp.oracle_options if optimizer == "oracle" else {}
     t0 = time.perf_counter()
     error = None
     try:
-        if payload["optimizer"] == "oracle":
-            result = runner(env, cfg, **payload["oracle_options"])
-        else:
-            result = runner(env, cfg)
+        result = OPTIMIZERS[optimizer](env, cfg, **options)
     except NonFiniteGradientError as e:
         result = e.partial
         error = str(e)
     wall = time.perf_counter() - t0
     return {
-        "optimizer": payload["optimizer"],
-        "seed": cfg.seed,
+        "optimizer": optimizer,
+        "seed": seed,
         "rows": [(r.outer_iter, r.env_steps, r.ul_objective, r.ni_gap,
                   r.grad_norm) for r in result.records],
         "final_env_steps": result.state.env_steps,
@@ -239,18 +237,13 @@ def _worker_count(n_jobs: int) -> int:
 
 def execute_runs(exp: ExperimentConfig) -> list[dict]:
     """Run all (optimizer, seed) pairs, parallel when allowed, in stable order."""
-    payloads = [
-        {"env_name": exp.env_name, "env_overrides": exp.env_overrides,
-         "optimizer": opt, "cfg": dataclasses.asdict(exp.config_for(opt, seed)),
-         "oracle_options": exp.oracle_options}
-        for opt in exp.optimizers for seed in exp.seeds
-    ]
-    workers = _worker_count(len(payloads))
-    log.info("running %d jobs on %d workers", len(payloads), workers)
+    jobs = [(exp, opt, seed) for opt in exp.optimizers for seed in exp.seeds]
+    workers = _worker_count(len(jobs))
+    log.info("running %d jobs on %d workers", len(jobs), workers)
     if workers == 1:
-        return [_run_one(p) for p in payloads]
+        return [_run_one(*job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, payloads))
+        return list(pool.map(_run_one, *zip(*jobs)))
 
 
 def _fmt(x: float) -> str:
@@ -299,25 +292,31 @@ def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list
 # Subcommands
 # --------------------------------------------------------------------------
 
+def _load_run_write(args):
+    """Load the config, run every (optimizer, seed) pair, write the CSVs and the
+    manifest, and report aborted runs; returns (exp, results, out)."""
+    exp = load_experiment(args.config)
+    if args.seed is not None:
+        exp.seeds = [args.seed]
+    if args.command == "compare" and len(exp.optimizers) < 2:
+        raise ConfigError("compare needs at least two optimizers")
+    results = execute_runs(exp)
+    out = Path(args.out)
+    write_outputs(exp, results, out)
+    for r in results:
+        if r["error"]:
+            print(f"error: {r['optimizer']} seed {r['seed']} aborted: {r['error']}",
+                  file=sys.stderr)
+    return exp, results, out
+
+
 def cmd_run(args) -> int:
-    try:
-        exp = load_experiment(args.config)
-        if args.seed is not None:
-            exp.seeds = [args.seed]
-        results = execute_runs(exp)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    write_outputs(exp, results, Path(args.out))
-    failed = [r for r in results if r["error"]]
-    for r in failed:
-        print(f"error: {r['optimizer']} seed {r['seed']} aborted: {r['error']}",
-              file=sys.stderr)
+    _, results, _ = _load_run_write(args)
     for r in results:
         status = "aborted" if r["error"] else "ok"
         print(f"{r['optimizer']:12s} seed={r['seed']:<4d} rows={len(r['rows']):4d} "
               f"env_steps={r['final_env_steps']:<10d} {status}")
-    return 3 if failed else 0
+    return 3 if any(r["error"] for r in results) else 0
 
 
 def _median_summary(exp: ExperimentConfig, results: list[dict]):
@@ -339,40 +338,21 @@ def _median_summary(exp: ExperimentConfig, results: list[dict]):
 
 
 def cmd_compare(args) -> int:
-    try:
-        exp = load_experiment(args.config)
-        if len(exp.optimizers) < 2:
-            raise ConfigError("compare needs at least two optimizers")
-        results = execute_runs(exp)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    write_outputs(exp, results, out)
-
+    exp, results, out = _load_run_write(args)
     lines = ["optimizer,seed," + CSV_HEADER]
     for r in results:
         for (it, steps, f_val, gap, grad) in r["rows"]:
             lines.append(f"{r['optimizer']},{r['seed']},{it},{steps},"
                          f"{_fmt(f_val)},{_fmt(gap)},{_fmt(grad)},0")
     (out / f"{exp.name}_compare.csv").write_text("\n".join(lines) + "\n")
-
-    failed = [r for r in results if r["error"]]
-    for r in failed:
-        print(f"error: {r['optimizer']} seed {r['seed']} aborted: {r['error']}",
-              file=sys.stderr)
-    if failed:
+    if any(r["error"] for r in results):
         return 3
 
     # sampled optimizers must have spent comparable env-step budgets
-    sampled = [r for r in results if r["optimizer"] != "oracle"]
-    if sampled:
-        finals = [r["final_env_steps"] for r in sampled]
-        if min(finals) < 0.5 * max(finals):
-            print("error: env-step budgets differ by more than 2x across "
-                  "sampled optimizers; set env_step_budget for a fair "
-                  "comparison", file=sys.stderr)
-            return 2
+    finals = [r["final_env_steps"] for r in results if r["optimizer"] != "oracle"]
+    if finals and min(finals) < 0.5 * max(finals):
+        raise ConfigError("env-step budgets differ by more than 2x across sampled "
+                          "optimizers; set env_step_budget for a fair comparison")
 
     print(f"{'optimizer':12s} {'median f':>14s} {'median gap':>14s} "
           f"{'median steps':>14s}")
@@ -387,10 +367,8 @@ def cmd_check(args) -> int:
     try:
         results = run_suite(args.suite)
     except KeyError:
-        print(f"error: unknown suite {args.suite!r}; choose from "
-              f"operators, equilibrium, gradients, estimators, pl, all",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown suite {args.suite!r}; choose from "
+                          f"operators, equilibrium, gradients, estimators, pl, all") from None
     ok = True
     for r in results:
         ok &= r.passed
@@ -416,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run and summarize several optimizers")
     p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--out", required=True)
-    p_cmp.set_defaults(fn=cmd_compare)
+    p_cmp.set_defaults(fn=cmd_compare, seed=None)
 
     p_chk = sub.add_parser("check", help="run a property suite")
     p_chk.add_argument("suite")
@@ -428,7 +406,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

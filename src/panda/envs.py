@@ -277,40 +277,23 @@ def build_sentinel(spec: GridSpec) -> EnvBundle:
     target = spec.cell(spec.target)
     n_act = len(_MOVES)
 
-    def clip_move(cell, mv):
-        r, c = divmod(cell, w)
-        r2 = min(max(r + _MOVES[mv][0], 0), h - 1)
-        c2 = min(max(c + _MOVES[mv][1], 0), w - 1)
-        return r2 * w + c2
-
-    moved = np.empty((n_cells, n_act), dtype=np.intp)
-    for cell in range(n_cells):
-        for mv in range(n_act):
-            moved[cell, mv] = clip_move(cell, mv)
+    # (cells, moves) table of the cell each move leads to, clipped at the walls
+    rows, cols = np.divmod(np.arange(n_cells), w)
+    dr, dc = np.array(_MOVES).T
+    moved = np.clip(rows[:, None] + dr, 0, h - 1) * w + np.clip(cols[:, None] + dc, 0, w - 1)
+    sent, intr = np.divmod(np.arange(n_cells * n_cells), n_cells)
+    # (pair, a, b): a is the intruder's (min player's) move, b the sentinel's
+    sent2, intr2 = moved[sent][:, None, :], moved[intr][:, :, None]
+    same, on_target = (sent == intr)[:, None, None], (intr == target)[:, None, None]
+    capture = same | (~on_target & (sent2 == intr2))
+    arrive = ~capture & (on_target | (intr2 == target))
 
     # every move is deterministic: one successor per (s, a, b), the terminal
     # unless the move lands on a live pair of cells
     succ = np.full((n_states, n_act, n_act, 1), terminal, dtype=np.intp)
+    succ[:terminal, :, :, 0] = np.where(capture | arrive, terminal, sent2 * n_cells + intr2)
     base = np.zeros((n_states, n_act, n_act))
-    for sent in range(n_cells):
-        for intr in range(n_cells):
-            s = sent * n_cells + intr
-            if sent == intr:
-                base[s] = spec.payoff
-                continue
-            if intr == target:
-                base[s] = -spec.payoff
-                continue
-            for a in range(n_act):      # intruder (min player)
-                intr2 = moved[intr, a]
-                for b in range(n_act):  # sentinel (max player)
-                    sent2 = moved[sent, b]
-                    if sent2 == intr2:
-                        base[s, a, b] = spec.payoff
-                    elif intr2 == target:
-                        base[s, a, b] = -spec.payoff
-                    else:
-                        succ[s, a, b, 0] = sent2 * n_cells + intr2
+    base[:terminal] = np.where(capture, spec.payoff, np.where(arrive, -spec.payoff, 0.0))
 
     rho = np.zeros(n_states)
     sent0 = spec.cell(spec.sentinel_spawn)
@@ -324,12 +307,8 @@ def build_sentinel(spec: GridSpec) -> EnvBundle:
     model = RewardModel(base=base, incentive_params=np.zeros((n_states, n_act, n_act)),
                         incentive_scale=spec.incentive_scale)
 
-    restricted_cells = {spec.cell(rc) for rc in spec.restricted}
     restricted_state = np.zeros(n_states, dtype=bool)
-    for sent in range(n_cells):
-        if sent in restricted_cells:
-            restricted_state[sent * n_cells:(sent + 1) * n_cells] = True
-    restricted_state[terminal] = False
+    restricted_state[:terminal] = np.isin(sent, [spec.cell(rc) for rc in spec.restricted])
 
     ul = SentinelUL(game=game, restricted_state=restricted_state, horizon=spec.max_steps)
     return EnvBundle(name="sentinel", game=game, model=model, ul=ul)

@@ -16,6 +16,7 @@ sampler in this package consumes.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 
@@ -34,6 +35,10 @@ __all__ = [
 
 # Transition rows may deviate from probability simplices by at most this much.
 ROW_SUM_TOL = 1e-9
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -64,9 +69,9 @@ class MarkovGame:
         init_dist: initial state distribution rho, shape (S,).
         absorbing: boolean mask of absorbing states, shape (S,).  Absorbing
             states must self-loop under every action pair.
-        discount: gamma in [0, 1).
-        tau_min: entropy temperature of the minimizing player (>0).
-        tau_max: entropy temperature of the maximizing player (>0).
+        discount: gamma in [0, 1), a real number and not a boolean.
+        tau_min: entropy temperature of the minimizing player (finite, >0).
+        tau_max: entropy temperature of the maximizing player (finite, >0).
     """
 
     def __init__(self, transition, init_dist, absorbing, discount, tau_min, tau_max):
@@ -116,10 +121,10 @@ class MarkovGame:
             raise ValueError(f"transition rows must sum to 1 (max error {row_err:.3e})")
         if np.any(self.init_dist < 0.0) or abs(self.init_dist.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError("init_dist is not a probability vector")
-        if not (0.0 <= self.discount < 1.0):
-            raise ValueError(f"discount must be in [0,1), got {self.discount}")
-        if self.tau_min <= 0.0 or self.tau_max <= 0.0:
-            raise ValueError("entropy temperatures must be positive")
+        if not (_is_real(discount) and 0.0 <= discount < 1.0):
+            raise ValueError(f"discount must be a real in [0,1), got {discount!r}")
+        if not all(_is_real(t) and 0.0 < t < math.inf for t in (tau_min, tau_max)):
+            raise ValueError(f"entropy temperatures must be finite and > 0, got {tau_min!r}, {tau_max!r}")
         # Absorbing states must self-loop with probability one.
         s = np.arange(S)[:, None, None, None]
         stay = np.where(self.succ == s, self.succ_prob, 0.0).sum(axis=3)
@@ -183,6 +188,7 @@ class RewardModel:
     The model is treated as immutable; :meth:`with_params` produces a view
     with new incentive parameters sharing the base tensor.  Its masked
     reward tables (see `effective_reward`) are kept with it, one per game.
+    The base must be finite and the scale a finite real (not a boolean).
     """
 
     base: np.ndarray
@@ -194,6 +200,10 @@ class RewardModel:
         self.incentive_params = np.asarray(self.incentive_params, dtype=float)
         if self.base.shape != self.incentive_params.shape:
             raise ValueError("base and incentive_params shapes differ")
+        if not np.isfinite(self.base).all():
+            raise ValueError("base payoff must be finite")
+        if not (_is_real(self.incentive_scale) and math.isfinite(self.incentive_scale)):
+            raise ValueError(f"incentive_scale must be a finite real, got {self.incentive_scale!r}")
         self._tables = weakref.WeakKeyDictionary()
 
     def with_params(self, x: np.ndarray) -> "RewardModel":

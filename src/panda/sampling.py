@@ -34,7 +34,6 @@ from .game import (MarkovGame, RewardModel, TabularPolicy, effective_reward,
 __all__ = [
     "RngStream",
     "TrajBatch",
-    "rollout",
     "sample_batch",
     "estimate_grad_x",
     "estimate_grad_policy",
@@ -132,13 +131,6 @@ def _successors(game: MarkovGame, sab, u) -> np.ndarray:
     if k == 1:
         return succ[sab, 0]
     return succ[sab, _pick(_cumulative(game.succ_prob.reshape(-1, k)[sab]), u)]
-
-
-def rollout(game: MarkovGame, model: RewardModel, policy_min, policy_max,
-            horizon: int, rng: np.random.Generator) -> TrajBatch:
-    """Sample one trajectory of at most `horizon` recorded steps, as a one-row batch."""
-    return _rollout_batch(game, model, policy_min, policy_max, horizon,
-                          rng.random(1 + 3 * horizon)[None])
 
 
 def _rollout_batch(game, model, policy_min, policy_max, horizon, us) -> TrajBatch:

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from panda.cli import ConfigError, load_experiment, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name="exp", **kw):
@@ -93,6 +96,16 @@ def test_load_experiment_resolves_defaults(tmp_path):
      "n_states must be an integer >= 1"),
     (lambda c: c.update(env={"name": "synthetic", "ul_horizon": True}),
      "ul_horizon must be an integer"),
+    (lambda c: c.update(env={"name": "sentinel", "incentive_scale": "x"}),
+     "incentive_scale must be a finite real, got 'x'"),
+    (lambda c: c.update(env={"name": "synthetic", "incentive_scale": float("nan")}),
+     "incentive_scale must be a finite real, got nan"),
+    (lambda c: c.update(env={"name": "synthetic", "tau": float("inf")}),
+     "entropy temperatures must be finite and > 0"),
+    (lambda c: c.update(env={"name": "sentinel", "payoff": float("inf")}),
+     "base payoff must be finite"),
+    (lambda c: c.update(env={"name": "synthetic", "discount": False}),
+     "discount must be a real in .0,1., got False"),
 ])
 def test_load_experiment_rejects_bad_configs(tmp_path, mutate, msg):
     cfg = json.loads(write_config(tmp_path).read_text())
@@ -101,6 +114,12 @@ def test_load_experiment_rejects_bad_configs(tmp_path, mutate, msg):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match=msg):
         load_experiment(path)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_packaged_configs_load(path):
+    exp = load_experiment(path)
+    assert exp.name == path.stem and len(exp.optimizers) >= 1
 
 
 def test_run_writes_csv_per_seed_and_manifest(tmp_path, monkeypatch):
@@ -180,6 +199,7 @@ def test_run_invalid_env_value_exits_2(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("env,field", [
     ({"name": "synthetic", "n_states": 0}, "n_states"),
     ({"name": "sentinel", "width": 0}, "width"),
+    ({"name": "synthetic", "discount": 1.0}, "discount"),
 ])
 def test_run_invalid_env_size_exits_2_at_load(tmp_path, capsys, env, field):
     path = write_config(tmp_path, env=env)

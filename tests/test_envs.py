@@ -9,8 +9,7 @@ from panda.envs import (
     build_synthetic,
 )
 from panda.game import TabularPolicy, effective_reward_grad_x
-from panda.sampling import (RngStream, estimate_grad_policy, estimate_grad_x, rollout,
-                            sample_batch)
+from panda.sampling import RngStream, estimate_grad_policy, estimate_grad_x, sample_batch
 
 
 def uniform_pols(env):
@@ -193,7 +192,7 @@ def test_sentinel_spawn_capture_single_step():
     game2 = type(game)(game.transition, rho, game.absorbing, game.discount,
                        game.tau_min, game.tau_max)
     pmin, pmax = uniform_pols(env)
-    traj = rollout(game2, env.model, pmin, pmax, spec.max_steps, RngStream(5).generator())
+    traj = sample_batch(game2, env.model, pmin, pmax, 1, spec.max_steps, RngStream(5))
     assert traj.lengths.tolist() == [1]
     assert traj.rewards[0, 0] == pytest.approx(10.0 + 0.05 * 0.5, abs=1e-12)
 

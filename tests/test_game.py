@@ -77,6 +77,29 @@ def test_negative_transition_rejected():
                    absorbing=np.zeros(2, bool), discount=0.5, tau_min=0.1, tau_max=0.1)
 
 
+@pytest.mark.parametrize("discount,tau,msg", [
+    (0.9, float("nan"), "temperatures"),
+    (0.9, float("inf"), "temperatures"),
+    (False, 0.1, "discount"),
+])
+def test_game_rejects_bool_discount_and_nonfinite_temperature(discount, tau, msg):
+    with pytest.raises(ValueError, match=msg):
+        MarkovGame(transition=np.ones((1, 1, 1, 1)), init_dist=np.ones(1),
+                   absorbing=np.zeros(1, bool), discount=discount, tau_min=0.1, tau_max=tau)
+
+
+@pytest.mark.parametrize("base,scale,msg", [
+    (0.0, float("nan"), "incentive_scale"),
+    (0.0, "x", "incentive_scale"),
+    (0.0, True, "incentive_scale"),
+    (float("inf"), 1.0, "base payoff must be finite"),
+])
+def test_reward_model_rejects_nonfinite_base_and_bad_scale(base, scale, msg):
+    with pytest.raises(ValueError, match=msg):
+        RewardModel(base=np.full((1, 1, 1), base), incentive_params=np.zeros((1, 1, 1)),
+                    incentive_scale=scale)
+
+
 def test_absorbing_must_self_loop():
     p = np.zeros((2, 1, 1, 2))
     p[0, 0, 0, 1] = 1.0

@@ -12,7 +12,6 @@ from panda.sampling import (
     estimate_gradients,
     n_env_steps,
     reinforce,
-    rollout,
     sample_batch,
 )
 from conftest import gapped_transition, random_game, random_policies
@@ -29,7 +28,7 @@ def single_state_game(gamma=0.9):
 def test_rollout_fixed_horizon_single_state():
     game, model = single_state_game()
     pol = TabularPolicy(np.zeros((1, 2)))
-    traj = rollout(game, model, pol, pol, 3, RngStream(0).generator())
+    traj = sample_batch(game, model, pol, pol, 1, 3, RngStream(0))
     assert len(traj) == 1
     assert traj.lengths.tolist() == [3]
     assert np.all(traj.states == 0)
@@ -44,8 +43,8 @@ def test_rollout_absorbing_start_single_step():
     game = MarkovGame(p, np.ones(1), np.ones(1, bool), 0.9, 0.1, 0.1)
     model = RewardModel(base=np.ones((1, 2, 2)), incentive_params=np.zeros((1, 2, 2)),
                         incentive_scale=0.0)
-    traj = rollout(game, model, TabularPolicy(np.zeros((1, 2))),
-                   TabularPolicy(np.zeros((1, 2))), 5, RngStream(1).generator())
+    traj = sample_batch(game, model, TabularPolicy(np.zeros((1, 2))),
+                        TabularPolicy(np.zeros((1, 2))), 1, 5, RngStream(1))
     assert traj.lengths.tolist() == [1]
     assert traj.rewards[0, 0] == 0.0  # absorbing states pay nothing
 
@@ -60,7 +59,7 @@ def test_rollout_stops_on_entering_absorbing():
     model = RewardModel(base=np.full((2, 1, 1), 7.0), incentive_params=np.zeros((2, 1, 1)),
                         incentive_scale=0.0)
     pol = TabularPolicy(np.zeros((2, 1)))
-    traj = rollout(game, model, pol, pol, 10, RngStream(2).generator())
+    traj = sample_batch(game, model, pol, pol, 1, 10, RngStream(2))
     assert traj.lengths.tolist() == [1]
     assert traj.states[0, 0] == 0
     assert traj.rewards[0, 0] == 7.0
@@ -73,7 +72,7 @@ def test_rollout_stops_on_entering_absorbing():
 def test_rollout_respects_policy():
     game, model = single_state_game()
     det = TabularPolicy(np.array([[50.0, 0.0]]))
-    traj = rollout(game, model, det, det, 20, RngStream(3).generator())
+    traj = sample_batch(game, model, det, det, 1, 20, RngStream(3))
     assert traj.lengths.tolist() == [20]
     assert np.all(traj.actions_min == 0)
     assert np.all(traj.actions_max == 0)
@@ -92,11 +91,11 @@ def test_streams_deterministic_and_order_free():
     assert np.array_equal(batch.actions_max, again.actions_max)
     assert np.array_equal(batch.rewards, again.rewards)
     assert np.array_equal(batch.lengths, again.lengths)
-    # trajectory 7 regenerated in isolation matches its in-batch copy
-    solo = rollout(game, model, pmin, pmax, 6, stream.generator(2, 5, 1, 7))
-    assert solo.lengths[0] == batch.lengths[7]
-    assert np.array_equal(solo.states[0], batch.states[7])
-    assert np.array_equal(solo.rewards[0], batch.rewards[7])
+    # trajectory 7 of a smaller batch on the same coordinates matches its copy
+    fewer = sample_batch(game, model, pmin, pmax, 8, 6, stream, purpose=2, outer=5, inner=1)
+    assert fewer.lengths[7] == batch.lengths[7]
+    assert np.array_equal(fewer.states[7], batch.states[7])
+    assert np.array_equal(fewer.rewards[7], batch.rewards[7])
     # different coordinates give different draws
     other = sample_batch(game, model, pmin, pmax, 10, 6, stream, purpose=3, outer=5, inner=1)
     assert not np.array_equal(batch.states, other.states)
