@@ -42,6 +42,7 @@ import numpy as np
 
 from .checks import run_suite
 from .envs import ENV_SPECS, build_env
+from .game import _is_int
 from .optim import OPTIMIZERS, NonFiniteGradientError, PandaConfig
 
 log = logging.getLogger("panda")
@@ -86,11 +87,12 @@ def _checked(what: str, build, *args, **kwargs):
         raise ConfigError(f"invalid {what} values: {e}") from e
 
 
-def load_experiment(path: str | Path) -> ExperimentConfig:
+def load_experiment(path: str | Path, seed: int | None = None) -> ExperimentConfig:
     """Parse and check an experiment config, raising `ConfigError` on any bad value.
 
     The environment is built once, so each env value is checked by the code
     that uses it, and each optimizer's merged `PandaConfig` is built once.
+    A `seed` replaces the config's seed list.
     """
     path = Path(path)
     try:
@@ -131,10 +133,10 @@ def load_experiment(path: str | Path) -> ExperimentConfig:
     if len(set(optimizers)) != len(optimizers):
         raise ConfigError("duplicate optimizer entries")
 
-    seeds = raw.get("seeds")
+    seeds = raw.get("seeds") if seed is None else [seed]
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-        raise ConfigError('config requires a non-empty integer "seeds" list')
+            or not all(_is_int(s) and 0 <= s < 2**64 for s in seeds)):
+        raise ConfigError(f'"seeds" must be a non-empty list of integers in [0, 2**64), got {seeds!r}')
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds")
 
@@ -295,9 +297,7 @@ def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list
 def _load_run_write(args):
     """Load the config, run every (optimizer, seed) pair, write the CSVs and the
     manifest, and report aborted runs; returns (exp, results, out)."""
-    exp = load_experiment(args.config)
-    if args.seed is not None:
-        exp.seeds = [args.seed]
+    exp = load_experiment(args.config, args.seed)
     if args.command == "compare" and len(exp.optimizers) < 2:
         raise ConfigError("compare needs at least two optimizers")
     results = execute_runs(exp)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import finite_horizon_grad, finite_horizon_value
-from .game import MarkovGame, RewardModel, probs
+from .game import MarkovGame, RewardModel, _is_int, _is_real, probs
 from .sampling import RngStream, n_env_steps, reinforce, sample_batch
 
 __all__ = [
@@ -46,15 +46,11 @@ __all__ = [
 ]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _check_counts(spec, names):
+def _check_counts(spec, names, least=1):
     for name in names:
         v = getattr(spec, name)
-        if not _is_int(v) or v < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if not _is_int(v) or v < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 # --------------------------------------------------------------------------
@@ -63,7 +59,7 @@ def _check_counts(spec, names):
 
 @dataclass
 class SyntheticSpec:
-    """Sizes and horizon are integers >= 1; `MarkovGame` checks discount and tau."""
+    """Sizes and horizon are integers >= 1, the seed >= 0; `MarkovGame` checks discount and tau."""
 
     n_states: int = 5
     n_actions: int = 3
@@ -75,6 +71,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         _check_counts(self, ("n_states", "n_actions", "ul_horizon"))
+        _check_counts(self, ("seed",), least=0)
 
 
 @dataclass
@@ -171,7 +168,7 @@ def build_synthetic(spec: SyntheticSpec) -> EnvBundle:
 
 @dataclass
 class GridSpec:
-    """Sizes and step cap are integers >= 1, cells (row, col) on the grid, spawns non-empty."""
+    """Sizes and step cap are integers >= 1, cells on the grid, spawns non-empty, payoff real."""
 
     width: int = 5
     height: int = 5
@@ -187,6 +184,8 @@ class GridSpec:
 
     def __post_init__(self):
         _check_counts(self, ("width", "height", "max_steps"))
+        if not _is_real(self.payoff):  # `RewardModel` rejects an infinite or NaN one
+            raise ValueError(f"payoff must be a real number, got {self.payoff!r}")
         if not self.intruder_spawns:
             raise ValueError("intruder_spawns must not be empty")
         cells = [("sentinel_spawn", self.sentinel_spawn), ("target", self.target)]

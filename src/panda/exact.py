@@ -195,12 +195,20 @@ def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
     return tv, y, z
 
 
+def _eye_minus(p, gamma, out=None) -> np.ndarray:
+    """I - gamma * p in one array (`out=p` reuses p): the bits of np.eye(S) - gamma * p."""
+    a = np.multiply(p, gamma, out=out)
+    np.subtract(0.0, a, out=a)
+    a.flat[::len(a) + 1] += 1.0
+    return a
+
+
 def _solve_value(game: MarkovGame, r_yz, p_yz, h) -> np.ndarray:
-    return np.linalg.solve(np.eye(game.n_states) - game.discount * p_yz, r_yz + h)
+    return np.linalg.solve(_eye_minus(p_yz, game.discount), r_yz + h)
 
 
 def _solve_visitation(game: MarkovGame, p_yz) -> np.ndarray:
-    a = np.eye(game.n_states) - game.discount * p_yz.T
+    a = _eye_minus(p_yz.T, game.discount)
     return np.linalg.solve(a, (1.0 - game.discount) * game.init_dist)
 
 
@@ -274,7 +282,7 @@ class BestResponse:
     sweeps: int          # policy-iteration rounds
 
 
-def _soft_policy_iteration(r_fold, p_fold, tau, absorbing, gamma, tol,
+def _soft_policy_iteration(r_fold, kernel, tau, absorbing, gamma, tol,
                            max_rounds=200, v0=None):
     """Policy iteration for a single-player MDP regularized at temperature tau.
 
@@ -282,23 +290,22 @@ def _soft_policy_iteration(r_fold, p_fold, tau, absorbing, gamma, tol,
     solve) with the softmax improvement step.  Being Newton's method on the
     soft Bellman fixed point, it converges in a handful of rounds regardless
     of the discount.  It stops once the log-sum-exp backup moves the values
-    by at most tol*(1-gamma)/gamma.
+    by at most tol*(1-gamma)/gamma.  `kernel` is the MDP's `ResponseKernel`.
     """
     s, k = r_fold.shape
     thr = tol * (1.0 - gamma) / gamma if gamma > 0 else np.inf
-    eye = np.eye(s)
     v = np.zeros(s) if v0 is None else np.asarray(v0, dtype=float).copy()
     v[absorbing] = 0.0
-    qf = r_fold + gamma * np.einsum("skn,n->sk", p_fold, v)
+    qf = r_fold + gamma * kernel.backup(v)
     pol = softmax(qf / tau)
     res = np.inf
     for rounds in range(1, max_rounds + 1):
         c = np.einsum("sk,sk->s", pol, r_fold) - tau * _neg_entropy(pol)
-        p_pol = np.einsum("skn,sk->sn", p_fold, pol)
+        p_pol = kernel.fold(pol)
         c[absorbing] = 0.0
         p_pol[absorbing] = 0.0
-        v = np.linalg.solve(eye - gamma * p_pol, c)
-        qf = r_fold + gamma * np.einsum("skn,n->sk", p_fold, v)
+        v = np.linalg.solve(_eye_minus(p_pol, gamma, out=p_pol), c)
+        qf = r_fold + gamma * kernel.backup(v)
         m = qf.max(axis=1)
         tv = tau * (m / tau + np.log(np.exp(qf / tau - m[:, None] / tau).sum(axis=1)))
         tv[absorbing] = 0.0
@@ -322,21 +329,17 @@ def best_response(game: MarkovGame, model: RewardModel, fixed, side,
     mirror image on a sign-flipped reward; its j_value is min_y J.  Both
     are solved by soft policy iteration; `v0` warm-starts its values.
     """
-    if side not in ("min", "max"):
-        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
     r_eff = effective_reward(game, model)
     pi = probs(fixed)
     if side == "max":
         r_fold = np.einsum("sab,sa->sb", r_eff, pi) + game.tau_min * _neg_entropy(pi)[:, None]
-        p_fold = game.fold_min(pi)
         tau, sign = game.tau_max, 1.0
     else:
         r_fold = -np.einsum("sab,sb->sa", r_eff, pi) + game.tau_max * _neg_entropy(pi)[:, None]
-        p_fold = game.fold_max(pi)
         tau, sign = game.tau_min, -1.0
     r_fold[game.absorbing] = 0.0
-    v, pol, res, sweeps = _soft_policy_iteration(r_fold, p_fold, tau, game.absorbing,
-                                                 game.discount, tol, v0=v0)
+    v, pol, res, sweeps = _soft_policy_iteration(r_fold, game.response_kernel(pi, side), tau,
+                                                 game.absorbing, game.discount, tol, v0=v0)
     return BestResponse(sign * float(game.init_dist @ v), pol, v, res, sweeps)
 
 

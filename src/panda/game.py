@@ -26,6 +26,7 @@ __all__ = [
     "MarkovGame",
     "RewardModel",
     "TabularPolicy",
+    "ResponseKernel",
     "effective_reward",
     "effective_reward_grad_x",
     "softmax",
@@ -35,10 +36,17 @@ __all__ = [
 
 # Transition rows may deviate from probability simplices by at most this much.
 ROW_SUM_TOL = 1e-9
+# A response kernel's backup rebuilds its dense form in blocks of at most this many
+# entries: a 512 KB buffer, where the whole grid kernel would take 15.7 MB.
+BLOCK_ENTRIES = 1 << 16
 
 
 def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -131,10 +139,10 @@ class MarkovGame:
         for state in np.flatnonzero(self.absorbing):
             if np.max(np.abs(stay[state] - 1.0)) > ROW_SUM_TOL:
                 raise ValueError(f"absorbing state {state} does not self-loop")
-        # flat targets of the three folds below, in (s, a, b, k) order
+        # flat targets of `fold_pair` in (s, a, b, k) order; each player's kernel layout
         self._pair_index = (s * S + self.succ).ravel()
-        self._fold_min_index = ((s * B + np.arange(B)[:, None]) * S + self.succ).ravel()
-        self._fold_max_index = ((s * A + np.arange(A)[:, None, None]) * S + self.succ).ravel()
+        self._max_layout = _KernelLayout(self.succ, np.arange(B)[:, None], B)
+        self._min_layout = _KernelLayout(self.succ, np.arange(A)[:, None, None], A)
 
     @property
     def n_states(self) -> int:
@@ -159,26 +167,79 @@ class MarkovGame:
         """E[v(s') | s, a, b], shape (S, A, B)."""
         return np.einsum("sabk,sabk->sab", self.succ_prob, v[self.succ])
 
-    def _fold(self, index, weights, shape) -> np.ndarray:
-        return np.bincount(index, weights=weights.ravel(),
-                           minlength=math.prod(shape)).reshape(shape)
-
     def fold_pair(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """State-to-state kernel under the policy pair (y, z), shape (S, S)."""
         w = (self.succ_prob * y[:, :, None, None]) * z[:, None, :, None]
-        return self._fold(self._pair_index, w, (self.n_states,) * 2)
-
-    def fold_min(self, y: np.ndarray) -> np.ndarray:
-        """Kernel of the max player's MDP against min policy y, shape (S, B, S)."""
-        w = self.succ_prob * y[:, :, None, None]
         S = self.n_states
-        return self._fold(self._fold_min_index, w, (S, self.n_actions_max, S))
+        return np.bincount(self._pair_index, weights=w.ravel(), minlength=S * S).reshape(S, S)
 
-    def fold_max(self, z: np.ndarray) -> np.ndarray:
-        """Kernel of the min player's MDP against max policy z, shape (S, A, S)."""
-        w = self.succ_prob * z[:, None, :, None]
-        S = self.n_states
-        return self._fold(self._fold_max_index, w, (S, self.n_actions_min, S))
+    def response_kernel(self, fixed, side) -> "ResponseKernel":
+        """Kernel of `side`'s MDP, over its own actions, against the opponent's policy `fixed`."""
+        if side == "max":
+            w, layout = fixed[:, :, None, None], self._max_layout
+        elif side == "min":
+            w, layout = fixed[:, None, :, None], self._min_layout
+        else:
+            raise ValueError(f"side must be 'min' or 'max', got {side!r}")
+        weights = np.bincount(layout.merge, weights=(self.succ_prob * w).ravel(),
+                              minlength=len(layout.local))
+        return ResponseKernel(layout, weights)
+
+
+class _KernelLayout:
+    """Layout of one player's (S, K, S) kernel, K its action count, by distinct entries.
+
+    `k` broadcasts the player's action index against `succ`.  `merge` maps each
+    successor-list entry (s, a, b, j) to its distinct (s, k, s') entry in sorted order;
+    `pair` and `row` give each distinct entry's (s, s') and (s, k), `local` its place in
+    its block of `rows` states, and `cuts` each block's first entry.  `nbytes` sums the
+    arrays, so that a count of a game's array memory includes them.
+    """
+
+    def __init__(self, succ, k, K):
+        S = len(succ)
+        index = (np.arange(S)[:, None, None, None] * K + k) * S + succ
+        keys, self.merge = np.unique(index.ravel(), return_inverse=True)
+        self.shape, self.rows = (S, K, S), min(S, max(1, BLOCK_ENTRIES // (K * S)))
+        self.pair, self.row = keys // (K * S) * S + keys % S, keys // S
+        self.local = keys % (self.rows * K * S)
+        self.cuts = np.searchsorted(keys, np.append(np.arange(0, S, self.rows), S) * (K * S))
+        self.nbytes = sum(a.nbytes for a in (self.merge, self.pair, self.row, self.local, self.cuts))
+
+
+class ResponseKernel:
+    """One player's (S, K, S) kernel against a fixed opponent policy, by distinct entries.
+
+    `weights` holds them in sorted order, each summed over the opponent's actions and
+    the successor lists in (s, a, b, j) order as a dense `bincount` sums it.  `backup`
+    rebuilds the dense kernel in one buffer, in blocks of at most `BLOCK_ENTRIES`
+    entries (kept if one block holds it), and `fold` sums the entries into (S, S); both
+    give the bits of the einsums over the dense kernel.
+    """
+
+    def __init__(self, layout: _KernelLayout, weights: np.ndarray):
+        self.weights, self._layout = weights, layout
+        self._buffer = np.zeros((layout.rows,) + layout.shape[1:])
+        if layout.rows == layout.shape[0]:
+            self._buffer.ravel()[layout.local] = weights
+
+    def backup(self, v: np.ndarray) -> np.ndarray:
+        """E[v(s') | s, k], shape (S, K)."""
+        buf, lay, S = self._buffer, self._layout, len(v)
+        if lay.rows == S:
+            return np.einsum("skn,n->sk", buf, v)
+        out, flat = np.empty((S, buf.shape[1])), buf.ravel()
+        for s0, lo, hi in zip(range(0, S, lay.rows), lay.cuts, lay.cuts[1:]):
+            flat[lay.local[lo:hi]] = self.weights[lo:hi]
+            out[s0:s0 + lay.rows] = np.einsum("skn,n->sk", buf[:S - s0], v)
+            flat[lay.local[lo:hi]] = 0.0
+        return out
+
+    def fold(self, pol: np.ndarray) -> np.ndarray:
+        """State-to-state kernel under the responder's policy pol (S, K), shape (S, S)."""
+        S = len(pol)
+        w = self.weights * pol.ravel()[self._layout.row]
+        return np.bincount(self._layout.pair, weights=w, minlength=S * S).reshape(S, S)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (MarkovGame, RewardModel, TabularPolicy, effective_reward,
+from .game import (MarkovGame, RewardModel, TabularPolicy, _is_int, effective_reward,
                    effective_reward_grad_x, probs)
 
 __all__ = [
@@ -42,7 +42,8 @@ __all__ = [
     "n_env_steps",
 ]
 
-_KEY_SALT = 0x9E3779B97F4A7C15  # second Philox key word, fixed arbitrary constant
+# second Philox key word: a fixed constant, the float64 rounding of 0x9E3779B97F4A7C15
+_KEY_SALT = 0x9E3779B97F4A8000
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,19 @@ class RngStream:
 
     `generator(purpose, outer, inner, traj)` places the four coordinates in
     the upper Philox counter words (word 0 stays free for block advancement),
-    so distinct coordinates can never overlap streams.
+    so distinct coordinates can never overlap streams.  The seed, an integer
+    in [0, 2**64), is the first key word.
     """
 
     seed: int
 
+    def __post_init__(self):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+
     def generator(self, purpose: int = 0, outer: int = 0, inner: int = 0,
                   traj: int = 0) -> np.random.Generator:
-        key = [self.seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT]
+        key = np.array([self.seed, _KEY_SALT], dtype=np.uint64)
         counter = [0, traj, inner, (purpose << 48) | outer]
         return np.random.Generator(np.random.Philox(counter=counter, key=key))
 

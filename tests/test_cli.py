@@ -106,6 +106,13 @@ def test_load_experiment_resolves_defaults(tmp_path):
      "base payoff must be finite"),
     (lambda c: c.update(env={"name": "synthetic", "discount": False}),
      "discount must be a real in .0,1., got False"),
+    (lambda c: c.update(env={"name": "sentinel", "payoff": True}),
+     "payoff must be a real number, got True"),
+    (lambda c: c.update(env={"name": "synthetic", "seed": True}),
+     "seed must be an integer >= 0, got True"),
+    (lambda c: c.update(seeds=[0, -1]), "integers in .0, 2..64., got .0, -1."),
+    (lambda c: c.update(seeds=[2**64]), "integers in .0, 2..64., got .18446744073709551616."),
+    (lambda c: c.update(seeds=[True]), "integers in .0, 2..64., got .True."),
 ])
 def test_load_experiment_rejects_bad_configs(tmp_path, mutate, msg):
     cfg = json.loads(write_config(tmp_path).read_text())
@@ -162,6 +169,22 @@ def test_run_seed_flag_overrides_seed_list(tmp_path, monkeypatch):
     assert files == ["exp_panda_seed5.csv"]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_seed_flag_out_of_range_exits_2_at_load(tmp_path, capsys, seed):
+    path = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out), "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith('error: "seeds" must be') and f"got [{seed}]" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_largest_seed_loads(tmp_path):
+    exp = load_experiment(write_config(tmp_path, seeds=[0, 2**64 - 1]))
+    assert exp.seeds == [0, 2**64 - 1]
+    assert load_experiment(write_config(tmp_path), seed=2**64 - 1).seeds == [2**64 - 1]
+
+
 def test_rerun_is_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("PANDA_THREADS", "2")
     path = write_config(tmp_path, seeds=[0, 1],
@@ -200,6 +223,8 @@ def test_run_invalid_env_value_exits_2(tmp_path, monkeypatch, capsys):
     ({"name": "synthetic", "n_states": 0}, "n_states"),
     ({"name": "sentinel", "width": 0}, "width"),
     ({"name": "synthetic", "discount": 1.0}, "discount"),
+    ({"name": "sentinel", "payoff": True}, "payoff"),
+    ({"name": "synthetic", "seed": True}, "seed"),
 ])
 def test_run_invalid_env_size_exits_2_at_load(tmp_path, capsys, env, field):
     path = write_config(tmp_path, env=env)

@@ -6,10 +6,14 @@ per-state saddle, a from-scratch dense soft value iteration for the gap, and
 Monte-Carlo rollouts for the visitation distribution.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from panda.game import MarkovGame, RewardModel, TabularPolicy, effective_reward_grad_x
+from panda.envs import build_env
+from panda.game import (MarkovGame, RewardModel, TabularPolicy, effective_reward,
+                        effective_reward_grad_x)
 from panda.exact import (
     SaddleSolveError,
     ValueIterationError,
@@ -612,3 +616,23 @@ def test_pl_inequality_for_value_function():
         gmax = exact_grad_policy(game, model, pmin, pmax, "max")
         assert 0.5 * np.sum(gmin ** 2) >= mu * (j - j2) - 1e-9
         assert 0.5 * np.sum(gmax ** 2) >= mu * (j1 - j) - 1e-9
+
+
+def test_grid_exact_evaluation_allocates_no_transition_sized_array():
+    """One best response and one NI-gradient evaluation on the 626-state grid each
+    allocate under 14 MB at their peak.  A dense (S, K, S) kernel is 15.7 MB there;
+    the (S, S) matrices and the solver's copy of one come to about 7-10 MB."""
+    env = build_env("sentinel")
+    game, model = env.game, env.model
+    y = TabularPolicy.uniform(game.n_states, game.n_actions_min).probs_all()
+    z = TabularPolicy.uniform(game.n_states, game.n_actions_max).probs_all()
+    effective_reward(game, model)  # the reward table is built once per model, before the calls
+    for call in (lambda: best_response(game, model, y, "max"),
+                 lambda: ni_gradients(game, model, y, z)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6

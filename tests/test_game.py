@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from panda.envs import build_env
+from panda.exact import _eye_minus
+from panda import game as game_module
 from panda.game import (
+    BLOCK_ENTRIES,
     MarkovGame,
     RewardModel,
     TabularPolicy,
@@ -145,9 +149,14 @@ def _dense_kernels(game, rng):
     y = TabularPolicy(rng.normal(size=(game.n_states, game.n_actions_min))).probs_all()
     z = TabularPolicy(rng.normal(size=(game.n_states, game.n_actions_max))).probs_all()
     v = rng.normal(size=game.n_states)
-    ours = (game.expect(v), game.fold_pair(y, z), game.fold_min(y), game.fold_max(z))
+    k_max, k_min = game.response_kernel(y, "max"), game.response_kernel(z, "min")
+    ours = (game.expect(v), game.fold_pair(y, z),
+            k_max.backup(v), k_max.fold(z), k_min.backup(v), k_min.fold(y))
+    # the single-player kernels of the max player against y and the min player against z
+    p_max, p_min = np.einsum("sabn,sa->sbn", p, y), np.einsum("sabn,sb->san", p, z)
     dense = (np.einsum("sabn,n->sab", p, v), np.einsum("sabn,sa,sb->sn", p, y, z),
-             np.einsum("sabn,sa->sbn", p, y), np.einsum("sabn,sb->san", p, z))
+             np.einsum("skn,n->sk", p_max, v), np.einsum("skn,sk->sn", p_max, z),
+             np.einsum("skn,n->sk", p_min, v), np.einsum("skn,sk->sn", p_min, y))
     return ours, dense
 
 
@@ -166,6 +175,78 @@ def test_successor_kernels_match_dense_einsums():
                     np.testing.assert_allclose(ours, dense, rtol=1e-15, atol=0.0)
     for ours, dense in zip(*_dense_kernels(_gapped_game(), rng)):
         np.testing.assert_allclose(ours, dense, rtol=1e-15, atol=0.0)
+
+
+def _dense_response_kernel(game, fixed, side):
+    """The dense (S, K, S) single-player kernel, built as one `bincount` over (s, a, b, k)."""
+    S, A, B, _ = game.succ.shape
+    s = np.arange(S)[:, None, None, None]
+    if side == "max":
+        index = ((s * B + np.arange(B)[:, None]) * S + game.succ).ravel()
+        w, k = game.succ_prob * fixed[:, :, None, None], B
+    else:
+        index = ((s * A + np.arange(A)[:, None, None]) * S + game.succ).ravel()
+        w, k = game.succ_prob * fixed[:, None, :, None], A
+    return np.bincount(index, weights=w.ravel(), minlength=S * k * S).reshape(S, k, S)
+
+
+def _same_bits(a, b):
+    """Equal shapes and bit patterns, so +0.0 and -0.0 differ."""
+    bits = [np.ascontiguousarray(x, dtype=float).view(np.int64) for x in (a, b)]
+    return np.array_equal(*bits)
+
+
+def _kernel_games():
+    """(game builder, block sizes); every split but one a block leaves a short last block.
+
+    A game lays its kernels out in blocks when it is built, so each case builds anew.
+    """
+    yield pytest.param(lambda: build_env("synthetic").game, (BLOCK_ENTRIES, 3 * 3 * 5),
+                       id="synthetic")
+    # both grid kernels have K = 5: 20 states a block by default (626 = 31 * 20 + 6), or 7
+    yield pytest.param(lambda: build_env("sentinel").game, (BLOCK_ENTRIES, 7 * 5 * 626, 1),
+                       id="sentinel")
+    yield pytest.param(_gapped_game, (BLOCK_ENTRIES, 2 * 2 * 3, 1), id="gapped")
+    for seed in range(4):  # 4 states a block for the max player's kernel, 3 for the min one's
+        yield pytest.param(lambda seed=seed: random_game(seed, n_states=7, na=3, nb=2,
+                                                         n_absorbing=2)[0],
+                           (BLOCK_ENTRIES, 3 * 3 * 7, 1), id=f"random-{seed}")
+
+
+@pytest.mark.parametrize("build,blocks", _kernel_games())
+def test_response_kernel_gives_the_dense_kernels_bits(build, blocks, monkeypatch):
+    rng = np.random.default_rng(17)
+    game = build()
+    S = game.n_states
+    for trial in range(3):
+        y = TabularPolicy(3.0 * rng.normal(size=(S, game.n_actions_min))).probs_all()
+        z = TabularPolicy(3.0 * rng.normal(size=(S, game.n_actions_max))).probs_all()
+        if trial == 2:  # exact zeros in the policies too
+            y[::2, 1:], z[1::2, :1] = 0.0, 0.0
+            y, z = y / y.sum(axis=1, keepdims=True), z / z.sum(axis=1, keepdims=True)
+        v = rng.normal(size=S)
+        for fixed, pol, side in ((y, z, "max"), (z, y, "min")):
+            dense = _dense_response_kernel(game, fixed, side)
+            p_pol = np.einsum("skn,sk->sn", dense, pol)
+            for block_entries in blocks:
+                monkeypatch.setattr(game_module, "BLOCK_ENTRIES", block_entries)
+                kernel = build().response_kernel(fixed, side)
+                assert _same_bits(kernel.backup(v), np.einsum("skn,n->sk", dense, v))
+                assert _same_bits(kernel.backup(-v), np.einsum("skn,n->sk", dense, -v))
+                assert _same_bits(kernel.fold(pol), p_pol)
+        # every I - gamma P system matrix: a response fold in place, a pair fold, its transpose
+        gamma = game.discount
+        for p in (p_pol, game.fold_pair(y, z), game.fold_pair(y, z).T):
+            assert _same_bits(_eye_minus(p, gamma), np.eye(S) - gamma * p)
+        p = p_pol.copy()
+        assert _eye_minus(p, gamma, out=p) is p
+        assert _same_bits(p, np.eye(S) - gamma * p_pol)
+
+
+def test_response_kernel_rejects_unknown_side():
+    game = _gapped_game()
+    with pytest.raises(ValueError, match="side"):
+        game.response_kernel(np.full((3, 2), 0.5), "both")
 
 
 def test_transition_returns_dense_input_and_pads_point_at_last_successor():

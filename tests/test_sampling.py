@@ -109,6 +109,28 @@ def test_uniforms_rows_match_per_trajectory_generators():
         assert np.array_equal(u[i], stream.generator(3, 4, 5, i).random(7))
 
 
+def test_philox_key_is_seed_and_salt_as_uint64():
+    # below 2**53 the draws are those earlier versions made, from a key list numpy
+    # rounded to float64 (salt 0x9E3779B97F4A7C15 read as 0x9E3779B97F4A8000)
+    for seed, pinned in ((0, [0.014626098260587361, 0.9834770889644125, 0.5184199981048835]),
+                         (12345, [0.07791435526761015, 0.7492322225497187, 0.7431158845989021]),
+                         (2**53 - 1, [0.3180822131545886, 0.08708894831876635, 0.6863569166926962])):
+        gen = RngStream(seed).generator(purpose=1, outer=4, inner=2, traj=3)
+        assert gen.random(3).tolist() == pinned
+        assert gen.bit_generator.state["state"]["key"].tolist() == [seed, 0x9E3779B97F4A8000]
+    # from 2**53 on every seed has a stream of its own, up to the largest
+    draws = [RngStream(s).generator().random(4) for s in (2**53, 2**53 + 1, 2**64 - 2, 2**64 - 1)]
+    assert len({d.tobytes() for d in draws}) == 4
+    key = RngStream(2**64 - 1).generator().bit_generator.state["state"]["key"]
+    assert key.tolist() == [2**64 - 1, 0x9E3779B97F4A8000]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0, "0"])
+def test_rng_stream_rejects_seeds_outside_uint64(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        RngStream(seed)
+
+
 def test_n_env_steps_counts_lengths():
     game, model = random_game(137, n_states=3, gamma=0.9)
     rng = np.random.default_rng(31)
