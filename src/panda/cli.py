@@ -42,8 +42,8 @@ import numpy as np
 
 from .checks import run_suite
 from .envs import ENV_SPECS, build_env
-from .game import _is_int
 from .optim import OPTIMIZERS, NonFiniteGradientError, PandaConfig
+from .sampling import RngStream
 
 log = logging.getLogger("panda")
 
@@ -134,9 +134,10 @@ def load_experiment(path: str | Path, seed: int | None = None) -> ExperimentConf
         raise ConfigError("duplicate optimizer entries")
 
     seeds = raw.get("seeds") if seed is None else [seed]
-    if (not isinstance(seeds, list) or not seeds
-            or not all(_is_int(s) and 0 <= s < 2**64 for s in seeds)):
-        raise ConfigError(f'"seeds" must be a non-empty list of integers in [0, 2**64), got {seeds!r}')
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError('config requires a non-empty "seeds" list')
+    for s in seeds:
+        _checked("seeds", RngStream, s)
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds")
 

@@ -36,8 +36,7 @@ __all__ = [
 
 # Transition rows may deviate from probability simplices by at most this much.
 ROW_SUM_TOL = 1e-9
-# A response kernel's backup rebuilds its dense form in blocks of at most this many
-# entries: a 512 KB buffer, where the whole grid kernel would take 15.7 MB.
+# Entries in one dense block of a response kernel: 512 KB, the grid's whole kernel 15.7 MB.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -139,10 +138,10 @@ class MarkovGame:
         for state in np.flatnonzero(self.absorbing):
             if np.max(np.abs(stay[state] - 1.0)) > ROW_SUM_TOL:
                 raise ValueError(f"absorbing state {state} does not self-loop")
-        # flat targets of `fold_pair` in (s, a, b, k) order; each player's kernel layout
+        # flat targets of `fold_pair` and of each player's kernel, in (s, a, b, k) order
         self._pair_index = (s * S + self.succ).ravel()
-        self._max_layout = _KernelLayout(self.succ, np.arange(B)[:, None], B)
-        self._min_layout = _KernelLayout(self.succ, np.arange(A)[:, None, None], A)
+        self._max_kernel_index = ((s * B + np.arange(B)[:, None]) * S + self.succ).ravel()
+        self._min_kernel_index = ((s * A + np.arange(A)[:, None, None]) * S + self.succ).ravel()
 
     @property
     def n_states(self) -> int:
@@ -176,70 +175,42 @@ class MarkovGame:
     def response_kernel(self, fixed, side) -> "ResponseKernel":
         """Kernel of `side`'s MDP, over its own actions, against the opponent's policy `fixed`."""
         if side == "max":
-            w, layout = fixed[:, :, None, None], self._max_layout
+            w, index, k = fixed[:, :, None, None], self._max_kernel_index, self.n_actions_max
         elif side == "min":
-            w, layout = fixed[:, None, :, None], self._min_layout
+            w, index, k = fixed[:, None, :, None], self._min_kernel_index, self.n_actions_min
         else:
             raise ValueError(f"side must be 'min' or 'max', got {side!r}")
-        weights = np.bincount(layout.merge, weights=(self.succ_prob * w).ravel(),
-                              minlength=len(layout.local))
-        return ResponseKernel(layout, weights)
-
-
-class _KernelLayout:
-    """Layout of one player's (S, K, S) kernel, K its action count, by distinct entries.
-
-    `k` broadcasts the player's action index against `succ`.  `merge` maps each
-    successor-list entry (s, a, b, j) to its distinct (s, k, s') entry in sorted order;
-    `pair` and `row` give each distinct entry's (s, s') and (s, k), `local` its place in
-    its block of `rows` states, and `cuts` each block's first entry.  `nbytes` sums the
-    arrays, so that a count of a game's array memory includes them.
-    """
-
-    def __init__(self, succ, k, K):
-        S = len(succ)
-        index = (np.arange(S)[:, None, None, None] * K + k) * S + succ
-        keys, self.merge = np.unique(index.ravel(), return_inverse=True)
-        self.shape, self.rows = (S, K, S), min(S, max(1, BLOCK_ENTRIES // (K * S)))
-        self.pair, self.row = keys // (K * S) * S + keys % S, keys // S
-        self.local = keys % (self.rows * K * S)
-        self.cuts = np.searchsorted(keys, np.append(np.arange(0, S, self.rows), S) * (K * S))
-        self.nbytes = sum(a.nbytes for a in (self.merge, self.pair, self.row, self.local, self.cuts))
+        return ResponseKernel(index, (self.succ_prob * w).ravel(), (self.n_states, k))
 
 
 class ResponseKernel:
-    """One player's (S, K, S) kernel against a fixed opponent policy, by distinct entries.
+    """One player's (S, K, S) kernel against a fixed opponent policy, K its action count,
+    as successor-list entries and their flat (s, k, s') targets in (s, a, b, j) order.
+    `bincount` rebuilds it in blocks of states of at most `BLOCK_ENTRIES` entries; per
+    state a block holds the dense kernel's sums, so the einsums over it keep their bits."""
 
-    `weights` holds them in sorted order, each summed over the opponent's actions and
-    the successor lists in (s, a, b, j) order as a dense `bincount` sums it.  `backup`
-    rebuilds the dense kernel in one buffer, in blocks of at most `BLOCK_ENTRIES`
-    entries (kept if one block holds it), and `fold` sums the entries into (S, S); both
-    give the bits of the einsums over the dense kernel.
-    """
+    def __init__(self, index, weights, shape):
+        self.index, self.weights, (self.n_states, self.n_actions) = index, weights, shape
 
-    def __init__(self, layout: _KernelLayout, weights: np.ndarray):
-        self.weights, self._layout = weights, layout
-        self._buffer = np.zeros((layout.rows,) + layout.shape[1:])
-        if layout.rows == layout.shape[0]:
-            self._buffer.ravel()[layout.local] = weights
+    def _blocks(self):
+        """Each block's first state and its (rows, K, S) slice of the dense kernel."""
+        S, K = self.n_states, self.n_actions
+        rows, per = max(1, BLOCK_ENTRIES // (K * S)), len(self.index) // S
+        for s0 in range(0, S, rows):
+            lo, hi, n = s0 * per, min(s0 + rows, S) * per, min(rows, S - s0)
+            yield s0, np.bincount(self.index[lo:hi] - s0 * K * S, weights=self.weights[lo:hi],
+                                  minlength=n * K * S).reshape(n, K, S)
 
     def backup(self, v: np.ndarray) -> np.ndarray:
         """E[v(s') | s, k], shape (S, K)."""
-        buf, lay, S = self._buffer, self._layout, len(v)
-        if lay.rows == S:
-            return np.einsum("skn,n->sk", buf, v)
-        out, flat = np.empty((S, buf.shape[1])), buf.ravel()
-        for s0, lo, hi in zip(range(0, S, lay.rows), lay.cuts, lay.cuts[1:]):
-            flat[lay.local[lo:hi]] = self.weights[lo:hi]
-            out[s0:s0 + lay.rows] = np.einsum("skn,n->sk", buf[:S - s0], v)
-            flat[lay.local[lo:hi]] = 0.0
-        return out
+        return np.concatenate([np.einsum("skn,n->sk", p, v) for _, p in self._blocks()])
 
     def fold(self, pol: np.ndarray) -> np.ndarray:
         """State-to-state kernel under the responder's policy pol (S, K), shape (S, S)."""
-        S = len(pol)
-        w = self.weights * pol.ravel()[self._layout.row]
-        return np.bincount(self._layout.pair, weights=w, minlength=S * S).reshape(S, S)
+        out = np.empty((self.n_states, self.n_states))
+        for s0, p in self._blocks():
+            out[s0:s0 + len(p)] = np.einsum("skn,sk->sn", p, pol[s0:s0 + len(p)])
+        return out
 
 
 @dataclass

@@ -42,8 +42,7 @@ __all__ = [
     "n_env_steps",
 ]
 
-# second Philox key word: a fixed constant, the float64 rounding of 0x9E3779B97F4A7C15
-_KEY_SALT = 0x9E3779B97F4A8000
+_KEY_SALT = 0x9E3779B97F4A8000  # second Philox key word: 0x9E3779B97F4A7C15 rounded to float64
 
 
 @dataclass(frozen=True)

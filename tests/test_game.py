@@ -197,10 +197,7 @@ def _same_bits(a, b):
 
 
 def _kernel_games():
-    """(game builder, block sizes); every split but one a block leaves a short last block.
-
-    A game lays its kernels out in blocks when it is built, so each case builds anew.
-    """
+    """(game builder, block sizes); every split but one a block leaves a short last block."""
     yield pytest.param(lambda: build_env("synthetic").game, (BLOCK_ENTRIES, 3 * 3 * 5),
                        id="synthetic")
     # both grid kernels have K = 5: 20 states a block by default (626 = 31 * 20 + 6), or 7
@@ -230,7 +227,7 @@ def test_response_kernel_gives_the_dense_kernels_bits(build, blocks, monkeypatch
             p_pol = np.einsum("skn,sk->sn", dense, pol)
             for block_entries in blocks:
                 monkeypatch.setattr(game_module, "BLOCK_ENTRIES", block_entries)
-                kernel = build().response_kernel(fixed, side)
+                kernel = game.response_kernel(fixed, side)
                 assert _same_bits(kernel.backup(v), np.einsum("skn,n->sk", dense, v))
                 assert _same_bits(kernel.backup(-v), np.einsum("skn,n->sk", dense, -v))
                 assert _same_bits(kernel.fold(pol), p_pol)
