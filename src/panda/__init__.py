@@ -7,6 +7,7 @@ from .exact import best_response, ni_gap, ni_gradients, solve_ne
 from .game import MarkovGame, RewardModel, TabularPolicy
 from .optim import (
     OPTIMIZERS,
+    OracleOptions,
     PandaConfig,
     RunRecord,
     RunResult,
@@ -32,6 +33,7 @@ __all__ = [
     "RewardModel",
     "TabularPolicy",
     "OPTIMIZERS",
+    "OracleOptions",
     "PandaConfig",
     "RunRecord",
     "RunResult",

@@ -62,12 +62,12 @@ def _random_pols(rng, n_states, na, nb, spread=1.0):
 # Operator suite
 # --------------------------------------------------------------------------
 
-def operator_suite(n_instances: int = 50, seed: int = 0) -> list[CheckResult]:
+def operator_suite() -> list[CheckResult]:
     """Contraction, monotonicity, and constant-shift identities of both
-    Bellman operators on seeded (game, value-vector) instances."""
-    rng = np.random.default_rng(seed)
+    Bellman operators on 50 seeded (game, value-vector) instances."""
+    rng = np.random.default_rng(0)
     worst = {}
-    for _ in range(n_instances):
+    for _ in range(50):
         n, na, nb = rng.integers(2, 6), rng.integers(2, 4), rng.integers(2, 4)
         gamma = rng.uniform(0.5, 0.99)
         game, model = _random_instance(rng, n, na, nb, gamma)
@@ -92,12 +92,12 @@ def operator_suite(n_instances: int = 50, seed: int = 0) -> list[CheckResult]:
 # Equilibrium suite
 # --------------------------------------------------------------------------
 
-def equilibrium_suite(n_games: int = 20, seed: int = 0) -> list[CheckResult]:
-    """solve_ne on seeded games: residual scale, gap at the NE, saddle
+def equilibrium_suite() -> list[CheckResult]:
+    """solve_ne on 20 seeded games: residual scale, gap at the NE, saddle
     inequalities against random deviations, and minmax = maxmin."""
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(1)
     worst_res = worst_gap = worst_saddle = worst_mm = 0.0
-    for _ in range(n_games):
+    for _ in range(20):
         n, k = int(rng.integers(2, 6)), int(rng.integers(2, 4))
         gamma = float(rng.uniform(0.6, 0.97))
         game, model = _random_instance(rng, n, k, k, gamma,
@@ -140,12 +140,12 @@ def _central_difference(f, params, index, eps):
     return (up - f(p)) / (2 * eps)
 
 
-def gradient_suite(n_points: int = 20, seed: int = 0,
-                   eps: float = 1e-6) -> list[CheckResult]:
-    """Exact policy/incentive gradients of J against central differences."""
-    rng = np.random.default_rng(seed + 2)
+def gradient_suite() -> list[CheckResult]:
+    """Exact policy/incentive gradients of J against central differences (step
+    1e-6) at 20 seeded points."""
+    rng = np.random.default_rng(2)
     worst = {"grad-min-fd": 0.0, "grad-max-fd": 0.0, "grad-x-fd": 0.0}
-    for _ in range(n_points):
+    for _ in range(20):
         n, na, nb = int(rng.integers(2, 6)), int(rng.integers(2, 4)), int(rng.integers(2, 4))
         gamma = float(rng.uniform(0.5, 0.97))
         game, model = _random_instance(rng, n, na, nb, gamma)
@@ -162,7 +162,7 @@ def gradient_suite(n_points: int = 20, seed: int = 0,
         for name, grad, f, params in blocks:
             for _ in range(4):
                 index = tuple(int(rng.integers(k)) for k in params.shape)
-                fd = _central_difference(f, params, index, eps)
+                fd = _central_difference(f, params, index, 1e-6)
                 worst[name] = max(worst[name], abs(fd - grad[index]) / (1.0 + abs(fd)))
     return [CheckResult(k, float(v), 1e-5) for k, v in worst.items()]
 
@@ -171,20 +171,19 @@ def gradient_suite(n_points: int = 20, seed: int = 0,
 # Estimator suite
 # --------------------------------------------------------------------------
 
-def estimator_suite(seed: int = 0, n_mean_samples: int = 100_000,
-                    n_var_reps: int = 10_000) -> list[CheckResult]:
+def estimator_suite() -> list[CheckResult]:
     """Sampling-based gradient estimators: unbiasedness against truncated
     exact gradients (z-scores), 1/B variance scaling, and the horizon-
     truncation bias decay rate."""
-    rng = np.random.default_rng(seed + 3)
+    rng = np.random.default_rng(3)
     game, model = _random_instance(rng, 3, 2, 2, gamma=0.9)
     pmin, pmax = _random_pols(rng, 3, 2, 2, spread=0.5)
     horizon = 20
-    stream = RngStream(seed + 101)
+    stream = RngStream(101)
 
-    # (a) unbiasedness: batch means over >= n_mean_samples trajectories
+    # (a) unbiasedness: batch means over 100,000 trajectories
     batch = 50
-    reps = (n_mean_samples + batch - 1) // batch
+    reps = 100_000 // batch
     sums = {}
     sq_sums = {}
     for rep in range(reps):
@@ -209,8 +208,8 @@ def estimator_suite(seed: int = 0, n_mean_samples: int = 100_000,
     proj /= np.linalg.norm(proj)
     scaled = {}
     for b_idx, b in enumerate((4, 16, 64)):
-        vals = np.empty(n_var_reps)
-        for rep in range(n_var_reps):
+        vals = np.empty(10_000)
+        for rep in range(10_000):
             trajs = sample_batch(game, model, pmin, pmax, b, 10, stream,
                                  purpose=10 + b_idx, outer=rep)
             g = estimate_gradients(game, model, pmin, pmax, trajs, "min")
@@ -242,17 +241,17 @@ def estimator_suite(seed: int = 0, n_mean_samples: int = 100_000,
 # PL suite
 # --------------------------------------------------------------------------
 
-def pl_suite(n_points: int = 50, seed: int = 0) -> list[CheckResult]:
-    """Non-uniform gradient-dominance inequalities at seeded points.
+def pl_suite() -> list[CheckResult]:
+    """Non-uniform gradient-dominance inequalities at 50 seeded points.
 
     For the gap: 0.5*||grad g||^2 >= mu * g - 1e-9 with the visitation- and
     policy-dependent modulus `pl_constant`.  The same modulus bounds the
     value function's suboptimality for the min player at fixed opponent:
     0.5*||grad_y J||^2 >= mu * (J - min_y J).
     """
-    rng = np.random.default_rng(seed + 4)
+    rng = np.random.default_rng(4)
     worst_gap = worst_j = -np.inf
-    for _ in range(n_points):
+    for _ in range(50):
         n, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         gamma = float(rng.uniform(0.5, 0.95))
         game, model = _random_instance(rng, n, k, k, gamma,

@@ -30,8 +30,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
-import numbers
 import os
 import sys
 import time
@@ -42,13 +40,12 @@ import numpy as np
 
 from .checks import run_suite
 from .envs import ENV_SPECS, build_env
-from .optim import OPTIMIZERS, NonFiniteGradientError, PandaConfig
+from .optim import OPTIMIZERS, NonFiniteGradientError, OracleOptions, PandaConfig
 from .sampling import RngStream
 
 log = logging.getLogger("panda")
 
 CSV_HEADER = "outer_iter,env_steps,ul_objective,ne_gap,grad_norm,wall_ms"
-_ORACLE_OPTION_KEYS = {"inner_tol", "inner_cap", "br_tol"}
 
 
 class ConfigError(ValueError):
@@ -166,18 +163,10 @@ def load_experiment(path: str | Path, seed: int | None = None) -> ExperimentConf
     oracle_options = raw.get("oracle_options", {})
     if not isinstance(oracle_options, dict):
         raise ConfigError('"oracle_options" must be an object')
-    unknown = set(oracle_options) - _ORACLE_OPTION_KEYS
+    unknown = set(oracle_options) - {f.name for f in dataclasses.fields(OracleOptions)}
     if unknown:
         raise ConfigError(f"unknown oracle_options: {sorted(unknown)}")
-    cap = oracle_options.get("inner_cap", 1)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ConfigError(f"oracle_options.inner_cap must be an integer >= 1, got {cap!r}")
-    for key, positive in (("inner_tol", False), ("br_tol", True)):
-        v = oracle_options.get(key, 1.0)
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
-                or v < 0 or (positive and v == 0)):
-            raise ConfigError(f"oracle_options.{key} must be a finite real "
-                              f"{'> 0' if positive else '>= 0'}, got {v!r}")
+    _checked("oracle_options", OracleOptions, **oracle_options)
 
     name = raw.get("name", path.stem)
     if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
@@ -249,15 +238,10 @@ def execute_runs(exp: ExperimentConfig) -> list[dict]:
         return list(pool.map(_run_one, *zip(*jobs)))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_run_csv(path: Path, rows) -> None:
-    lines = [CSV_HEADER]
-    for (it, steps, f_val, gap, grad) in rows:
-        lines.append(f"{it},{steps},{_fmt(f_val)},{_fmt(gap)},{_fmt(grad)},0")
-    path.write_text("\n".join(lines) + "\n")
+def _csv_row(row) -> str:
+    """One `CSV_HEADER` row of a run: floats in shortest round-trip form, wall clock zeroed."""
+    it, steps, *floats = row
+    return ",".join([f"{it}", f"{steps}", *(repr(float(x)) for x in floats), "0"])
 
 
 def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list[Path]:
@@ -265,13 +249,13 @@ def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list
     paths = []
     for res in results:
         p = out / f"{exp.name}_{res['optimizer']}_seed{res['seed']}.csv"
-        _write_run_csv(p, res["rows"])
+        p.write_text("\n".join([CSV_HEADER, *map(_csv_row, res["rows"])]) + "\n")
         res["csv"] = p.name
         paths.append(p)
+    from importlib.metadata import PackageNotFoundError, version
     try:
-        from importlib.metadata import version
         pkg_version = version("panda")
-    except Exception:
+    except PackageNotFoundError:
         pkg_version = "unknown"
     manifest = {
         "name": exp.name,
@@ -320,31 +304,11 @@ def cmd_run(args) -> int:
     return 3 if any(r["error"] for r in results) else 0
 
 
-def _median_summary(exp: ExperimentConfig, results: list[dict]):
-    by_opt: dict[str, list[dict]] = {o: [] for o in exp.optimizers}
-    for r in results:
-        by_opt[r["optimizer"]].append(r)
-    summary = []
-    for opt in exp.optimizers:
-        finals = [r["rows"][-1] for r in by_opt[opt] if r["rows"]]
-        if not finals:
-            continue
-        summary.append({
-            "optimizer": opt,
-            "median_final_ul_objective": float(np.median([f[2] for f in finals])),
-            "median_final_ne_gap": float(np.median([f[3] for f in finals])),
-            "median_final_env_steps": float(np.median([f[1] for f in finals])),
-        })
-    return summary
-
-
 def cmd_compare(args) -> int:
     exp, results, out = _load_run_write(args)
     lines = ["optimizer,seed," + CSV_HEADER]
     for r in results:
-        for (it, steps, f_val, gap, grad) in r["rows"]:
-            lines.append(f"{r['optimizer']},{r['seed']},{it},{steps},"
-                         f"{_fmt(f_val)},{_fmt(gap)},{_fmt(grad)},0")
+        lines.extend(f"{r['optimizer']},{r['seed']},{_csv_row(row)}" for row in r["rows"])
     (out / f"{exp.name}_compare.csv").write_text("\n".join(lines) + "\n")
     if any(r["error"] for r in results):
         return 3
@@ -357,10 +321,11 @@ def cmd_compare(args) -> int:
 
     print(f"{'optimizer':12s} {'median f':>14s} {'median gap':>14s} "
           f"{'median steps':>14s}")
-    for row in _median_summary(exp, results):
-        print(f"{row['optimizer']:12s} {row['median_final_ul_objective']:14.6g} "
-              f"{row['median_final_ne_gap']:14.6g} "
-              f"{row['median_final_env_steps']:14.6g}")
+    for opt in exp.optimizers:
+        # no run aborted, so every run has its final row
+        finals = np.array([r["rows"][-1] for r in results if r["optimizer"] == opt])
+        _, steps, f_val, gap, _ = np.median(finals, axis=0)
+        print(f"{opt:12s} {f_val:14.6g} {gap:14.6g} {steps:14.6g}")
     return 0
 
 

@@ -168,7 +168,8 @@ def build_synthetic(spec: SyntheticSpec) -> EnvBundle:
 
 @dataclass
 class GridSpec:
-    """Sizes and step cap are integers >= 1, cells on the grid, spawns non-empty, payoff real."""
+    """Sizes and step cap are integers >= 1, cells on the grid, intruder spawns non-empty
+    and distinct, payoff real."""
 
     width: int = 5
     height: int = 5
@@ -196,6 +197,10 @@ class GridSpec:
                     and 0 <= rc[0] < self.height and 0 <= rc[1] < self.width):
                 raise ValueError(f"{name} cell {rc!r} is not on the "
                                  f"{self.height}x{self.width} grid")
+        spawns = [tuple(rc) for rc in self.intruder_spawns]
+        for i, rc in enumerate(spawns):
+            if rc in spawns[:i]:
+                raise ValueError(f"intruder_spawns cell {rc!r} is repeated")
 
     def cell(self, rc) -> int:
         return rc[0] * self.width + rc[1]

@@ -88,7 +88,7 @@ def _neg_entropy(p: np.ndarray) -> np.ndarray:
 # Per-state regularized saddle points
 # --------------------------------------------------------------------------
 
-def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None, check_every=16):
+def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None):
     """Solve a batch of regularized matrix saddle points.
 
     Args:
@@ -100,6 +100,7 @@ def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None, check_every=16)
     while the entropy terms are absorbed exactly, which makes each
     half-step a damped softmax of the opponent response.
     Per-state step sizes 1/(tau + spread(Q)) give a linear rate in tau/spread.
+    The residual is checked every 16 iterations.
     """
     q = np.asarray(q, dtype=float)
     n, na, nb = q.shape
@@ -131,7 +132,7 @@ def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None, check_every=16)
     while it < max_iter:
         y = np.exp(ly)
         z = np.exp(lz)
-        if it % check_every == 0:
+        if it % 16 == 0:
             res = residual(y, z)
             if res <= tol:
                 break
@@ -237,14 +238,13 @@ class NashSolution:
     sweeps: int
 
 
-def solve_ne(game: MarkovGame, model: RewardModel, tol=1e-9, max_sweeps=100_000,
-             saddle_tol=1e-12) -> NashSolution:
+def solve_ne(game: MarkovGame, model: RewardModel, tol=1e-9, max_sweeps=100_000) -> NashSolution:
     """Nash equilibrium of the regularized game.
 
     Value iteration with the optimality operator from v=0, stopping when the
     Bellman residual drops below tol*(1-gamma)/gamma, so the fixed-point
     error is at most tol.  Per-state saddles are warm-started across sweeps;
-    the returned policies come from a final solve at the converged values.
+    the returned policies come from a final solve, to 1e-12, at the converged values.
     """
     g = game.discount
     thr = tol * (1.0 - g) / g if g > 0 else np.inf
@@ -257,14 +257,14 @@ def solve_ne(game: MarkovGame, model: RewardModel, tol=1e-9, max_sweeps=100_000,
         warm = (_safe_log(y), _safe_log(z))
         res = np.abs(tv - v).max()
         v = tv
-        inner_tol = min(1e-9, max(saddle_tol, res * 1e-3))
+        inner_tol = min(1e-9, max(1e-12, res * 1e-3))
         if res <= thr:
             break
     else:
         raise ValueIterationError(float(res), max_sweeps)
 
     # Final polished saddle at the converged values.
-    _, y, z = soft_bellman_optimality(game, model, v, tol=saddle_tol, warm=warm)
+    _, y, z = soft_bellman_optimality(game, model, v, tol=1e-12, warm=warm)
     return NashSolution(policy_min=y, policy_max=z, v_star=v,
                         j_star=float(game.init_dist @ v), residual=float(res), sweeps=sweep)
 
@@ -282,15 +282,15 @@ class BestResponse:
     sweeps: int          # policy-iteration rounds
 
 
-def _soft_policy_iteration(r_fold, kernel, tau, absorbing, gamma, tol,
-                           max_rounds=200, v0=None):
+def _soft_policy_iteration(r_fold, kernel, tau, absorbing, gamma, tol, v0=None):
     """Policy iteration for a single-player MDP regularized at temperature tau.
 
     Alternates exact evaluation of the entropy-regularized policy (a linear
     solve) with the softmax improvement step.  Being Newton's method on the
     soft Bellman fixed point, it converges in a handful of rounds regardless
     of the discount.  It stops once the log-sum-exp backup moves the values
-    by at most tol*(1-gamma)/gamma.  `kernel` is the MDP's `ResponseKernel`.
+    by at most tol*(1-gamma)/gamma, or fails after 200 rounds.  `kernel` is
+    the MDP's `ResponseKernel`.
     """
     s, k = r_fold.shape
     thr = tol * (1.0 - gamma) / gamma if gamma > 0 else np.inf
@@ -299,7 +299,7 @@ def _soft_policy_iteration(r_fold, kernel, tau, absorbing, gamma, tol,
     qf = r_fold + gamma * kernel.backup(v)
     pol = softmax(qf / tau)
     res = np.inf
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, 201):
         c = np.einsum("sk,sk->s", pol, r_fold) - tau * _neg_entropy(pol)
         p_pol = kernel.fold(pol)
         c[absorbing] = 0.0
@@ -314,7 +314,7 @@ def _soft_policy_iteration(r_fold, kernel, tau, absorbing, gamma, tol,
         if res <= thr:
             break
     else:
-        raise ValueIterationError(float(res), max_rounds)
+        raise ValueIterationError(float(res), rounds)
     pol[absorbing] = 1.0 / k
     return v, pol, float(res), rounds
 

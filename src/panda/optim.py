@@ -39,7 +39,6 @@ reproducible bit-for-bit regardless of scheduling.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -47,7 +46,7 @@ import numpy as np
 
 from .envs import EnvBundle
 from .exact import best_response, exact_grad_policy, exact_grad_x, ni_gradients
-from .game import TabularPolicy
+from .game import TabularPolicy, _is_int, _is_real
 from .sampling import RngStream, estimate_gradients, n_env_steps, sample_batch
 
 # Stream purposes.  Every estimator call site owns one label so that no two
@@ -110,7 +109,7 @@ class PandaConfig:
             counts.append("env_step_budget")
         for name in counts:
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not _is_int(v):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.inner_iters < 1 or self.outer_iters < 1:
             raise ValueError("inner_iters and outer_iters must be positive")
@@ -118,7 +117,7 @@ class PandaConfig:
             raise ValueError("batch sizes and horizon must be positive")
         for name in ("lam", "eta_x", "eta_theta", "eta_shadow_min", "eta_shadow_max"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            if not _is_real(v):
                 raise ValueError(f"{name} must be a real number, got {v!r}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"penalty weight lam must be positive and finite, got {self.lam}")
@@ -130,6 +129,30 @@ class PandaConfig:
             raise ValueError(f"env_step_budget must be non-negative, got {self.env_step_budget}")
         if self.eval_cadence < 1:
             raise ValueError("eval_cadence must be positive")
+
+
+@dataclass(frozen=True)
+class OracleOptions:
+    """Settings of `run_oracle`'s inner loop, checked on construction.
+
+    The loop stops once a policy step moves no logit by more than
+    `inner_tol` (a finite real >= 0) or after `inner_cap` iterations (an
+    integer >= 1); `br_tol` (a finite real > 0) is the best-response
+    solver's tolerance.
+    """
+
+    inner_tol: float = 1e-8
+    inner_cap: int = 500
+    br_tol: float = 1e-10
+
+    def __post_init__(self):
+        if not (_is_int(self.inner_cap) and self.inner_cap >= 1):
+            raise ValueError(f"inner_cap must be an integer >= 1, got {self.inner_cap!r}")
+        for name, positive in (("inner_tol", False), ("br_tol", True)):
+            v = getattr(self, name)
+            if not (_is_real(v) and math.isfinite(v) and (v > 0 if positive else v >= 0)):
+                raise ValueError(f"{name} must be a finite real "
+                                 f"{'> 0' if positive else '>= 0'}, got {v!r}")
 
 
 @dataclass
@@ -212,12 +235,12 @@ class _EvalCache:
 
 
 def exact_metrics(env: EnvBundle, state: OptimizerState, lam: float,
-                  cache: _EvalCache | None = None, tol: float = 1e-9) -> ExactMetrics:
+                  cache: _EvalCache | None = None) -> ExactMetrics:
     """Exact f, NI gap, and penalty-gradient norm at the current iterate."""
     model_x = env.model.with_params(state.x)
     cache = cache if cache is not None else _EvalCache()
     ni = ni_gradients(env.game, model_x, state.policy_min, state.policy_max,
-                      tol=tol, v0_min=cache.v_min, v0_max=cache.v_max)
+                      tol=1e-9, v0_min=cache.v_min, v0_max=cache.v_max)
     cache.v_min, cache.v_max = ni.v_min, ni.v_max
     f_val = env.ul.value_exact(model_x, state.policy_min, state.policy_max)
     f_gmin, f_gmax = env.ul.grad_policies_exact(model_x, state.policy_min, state.policy_max)
@@ -450,35 +473,36 @@ def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
     return _metrics_loop(env, cfg, state, step)
 
 
-def run_oracle(env: EnvBundle, cfg: PandaConfig, inner_tol: float = 1e-8,
-               inner_cap: int = 500, br_tol: float = 1e-10) -> RunResult:
+def run_oracle(env: EnvBundle, cfg: PandaConfig, **options) -> RunResult:
     """Deterministic reference: the `panda` update on exact gradients and best responses.
 
     The shadows are the exact soft best responses at the current policies
     (so the surrogate gap is the true gap), and the inner loop runs until a
     policy step moves no logit by more than `inner_tol` or `inner_cap`
-    iterations elapse.  No trajectories are sampled; env_steps stays zero.
+    iterations elapse.  `options` are the `OracleOptions` fields, checked
+    before any work.  No trajectories are sampled; env_steps stays zero.
     """
+    opts = OracleOptions(**options)
     state = init_state(env)
     src = _Exact(env)
     ws = _EvalCache()
 
     def responses(model_x):
         bmax = best_response(env.game, model_x, state.policy_min, "max",
-                             tol=br_tol, v0=ws.v_max)
+                             tol=opts.br_tol, v0=ws.v_max)
         bmin = best_response(env.game, model_x, state.policy_max, "min",
-                             tol=br_tol, v0=ws.v_min)
+                             tol=opts.br_tol, v0=ws.v_min)
         ws.v_min, ws.v_max = bmin.soft_v, bmax.soft_v
         return bmin.policy, bmax.policy
 
     def step(t):
         model_x = env.model.with_params(state.x)
-        for k in range(inner_cap):
+        for k in range(opts.inner_cap):
             gmin, gmax = _penalty_step(src, cfg, state, model_x, *responses(model_x),
                                        1.0 / cfg.lam, 1.0, "oracle", t, k)
             step_size = max(cfg.eta_theta * np.abs(gmin).max(),
                             cfg.eta_theta * np.abs(gmax).max())
-            if step_size <= inner_tol:
+            if step_size <= opts.inner_tol:
                 break
         br_min, br_max = responses(model_x)
         state.shadow_min = TabularPolicy(np.log(np.maximum(br_min, 1e-300)))

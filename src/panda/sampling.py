@@ -35,8 +35,6 @@ __all__ = [
     "RngStream",
     "TrajBatch",
     "sample_batch",
-    "estimate_grad_x",
-    "estimate_grad_policy",
     "estimate_gradients",
     "reinforce",
     "n_env_steps",
@@ -232,31 +230,20 @@ def reinforce(batch: TrajBatch, step_rewards: np.ndarray, probs, side: str,
     return grad.reshape(probs.shape) / len(batch)
 
 
-def estimate_grad_policy(game: MarkovGame, policy_min: TabularPolicy,
-                         policy_max: TabularPolicy, batch: TrajBatch, side: str) -> np.ndarray:
-    """Batch-mean REINFORCE gradient of J in one player's logits."""
-    lp_y = policy_min.log_probs_all()
-    lp_z = policy_max.log_probs_all()
-    return reinforce(batch, _reg_rewards(game, lp_y, lp_z, batch),
-                     np.exp(lp_y if side == "min" else lp_z), side, game.discount)
-
-
-def estimate_grad_x(game: MarkovGame, model: RewardModel, batch: TrajBatch) -> np.ndarray:
-    """Batch-mean gradient of J in the incentive parameters."""
-    gx = effective_reward_grad_x(game, model)
-    s, a, b = batch.states, batch.actions_min, batch.actions_max
-    mask = batch.mask
-    w = gx[s, a, b] * game.discount ** np.arange(s.shape[1])
-    grad = np.zeros(gx.size)
-    np.add.at(grad, np.ravel_multi_index((s, a, b), gx.shape)[mask], w[mask])
-    return grad.reshape(gx.shape) / len(batch)
-
-
 def estimate_gradients(game: MarkovGame, model: RewardModel, policy_min: TabularPolicy,
                        policy_max: TabularPolicy, batch: TrajBatch, side: str) -> np.ndarray:
     """Batch-mean gradient of J in one block: "x" (incentives), "min" or "max" (logits)."""
     if side == "x":
-        return estimate_grad_x(game, model, batch)
+        gx = effective_reward_grad_x(game, model)
+        s, a, b = batch.states, batch.actions_min, batch.actions_max
+        mask = batch.mask
+        w = gx[s, a, b] * game.discount ** np.arange(s.shape[1])
+        grad = np.zeros(gx.size)
+        np.add.at(grad, np.ravel_multi_index((s, a, b), gx.shape)[mask], w[mask])
+        return grad.reshape(gx.shape) / len(batch)
     if side not in ("min", "max"):
         raise ValueError(f"side must be 'x', 'min' or 'max', got {side!r}")
-    return estimate_grad_policy(game, policy_min, policy_max, batch, side)
+    lp_y = policy_min.log_probs_all()
+    lp_z = policy_max.log_probs_all()
+    return reinforce(batch, _reg_rewards(game, lp_y, lp_z, batch),
+                     np.exp(lp_y if side == "min" else lp_z), side, game.discount)

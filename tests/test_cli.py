@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from panda import optim
 from panda.cli import ConfigError, load_experiment, main
+from panda.envs import build_env
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -90,6 +92,8 @@ def test_load_experiment_resolves_defaults(tmp_path):
      "restricted cell"),
     (lambda c: c.update(env={"name": "sentinel", "intruder_spawns": []}),
      "intruder_spawns must not be empty"),
+    (lambda c: c.update(env={"name": "sentinel", "intruder_spawns": [[0, 0], [0, 0]]}),
+     r"intruder_spawns cell \(0, 0\) is repeated"),
     (lambda c: c.update(env={"name": "sentinel", "max_steps": -1}),
      "max_steps must be an integer >= 1"),
     (lambda c: c.update(env={"name": "synthetic", "n_states": 0}),
@@ -123,6 +127,27 @@ def test_load_experiment_rejects_bad_configs(tmp_path, mutate, msg):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match=msg):
         load_experiment(path)
+
+
+@pytest.mark.parametrize("options,msg", [
+    ({"inner_cap": 0}, "inner_cap must be an integer >= 1, got 0"),
+    ({"inner_cap": 1.5}, "inner_cap must be an integer >= 1, got 1.5"),
+    ({"inner_cap": True}, "inner_cap must be an integer >= 1, got True"),
+    ({"inner_tol": -1e-6}, "inner_tol must be a finite real >= 0, got -1e-06"),
+    ({"inner_tol": float("nan")}, "inner_tol must be a finite real >= 0, got nan"),
+    ({"br_tol": 0.0}, "br_tol must be a finite real > 0, got 0.0"),
+])
+def test_run_oracle_rejects_bad_options_like_the_cli(tmp_path, monkeypatch, options, msg):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("best_response called before the options were checked")
+
+    monkeypatch.setattr(optim, "best_response", no_solve)
+    with pytest.raises(ValueError) as run_err:
+        optim.run_oracle(build_env("synthetic"), optim.PandaConfig(outer_iters=1), **options)
+    assert str(run_err.value) == msg
+    with pytest.raises(ConfigError) as cli_err:
+        load_experiment(write_config(tmp_path, oracle_options=options))
+    assert str(cli_err.value) == f"invalid oracle_options values: {msg}"
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)

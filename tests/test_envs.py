@@ -9,7 +9,7 @@ from panda.envs import (
     build_synthetic,
 )
 from panda.game import TabularPolicy, effective_reward_grad_x
-from panda.sampling import RngStream, estimate_grad_policy, estimate_grad_x, sample_batch
+from panda.sampling import RngStream, estimate_gradients, sample_batch
 
 
 def uniform_pols(env):
@@ -347,7 +347,7 @@ def test_padded_steps_never_leak():
         reg.append(np.where(game.absorbing[s], 0.0, u))
     for pol, side in ((pmin, "min"), (pmax, "max")):
         np.testing.assert_allclose(
-            estimate_grad_policy(game, pmin, pmax, batch, side),
+            estimate_gradients(game, model, pmin, pmax, batch, side),
             _per_row_reinforce(batch, reg, pol, side, game.discount), rtol=1e-10, atol=1e-12)
     gx = effective_reward_grad_x(game, model)
     ref_x = np.zeros_like(gx)
@@ -355,5 +355,5 @@ def test_padded_steps_never_leak():
         for t in range(m):
             sab = batch.states[i, t], batch.actions_min[i, t], batch.actions_max[i, t]
             ref_x[sab] += game.discount ** t * gx[sab]
-    np.testing.assert_allclose(estimate_grad_x(game, model, batch), ref_x / len(batch),
-                               rtol=1e-10, atol=1e-15)
+    np.testing.assert_allclose(estimate_gradients(game, model, pmin, pmax, batch, "x"),
+                               ref_x / len(batch), rtol=1e-10, atol=1e-15)

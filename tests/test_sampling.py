@@ -7,8 +7,6 @@ from panda.sampling import (
     RngStream,
     _successors,
     TrajBatch,
-    estimate_grad_policy,
-    estimate_grad_x,
     estimate_gradients,
     n_env_steps,
     reinforce,
@@ -167,7 +165,7 @@ def test_estimate_grad_x_zero_scale():
     rng = np.random.default_rng(33)
     pmin, pmax = random_policies(rng, 3, 2, 2)
     batch = sample_batch(game, model, pmin, pmax, 4, 3, RngStream(9))
-    assert np.abs(estimate_grad_x(game, model, batch)).max() == 0.0
+    assert np.abs(estimate_gradients(game, model, pmin, pmax, batch, "x")).max() == 0.0
 
 
 def test_estimate_grad_x_single_deterministic_step():
@@ -176,7 +174,7 @@ def test_estimate_grad_x_single_deterministic_step():
                         incentive_scale=1.0)
     det = TabularPolicy(np.array([[50.0, 0.0]]))
     batch = sample_batch(game, model, det, det, 1, 1, RngStream(10))
-    g = estimate_grad_x(game, model, batch)
+    g = estimate_gradients(game, model, det, det, batch, "x")
     assert g[0, 0, 0] == pytest.approx(0.25, abs=1e-12)  # sigmoid'(0)
     assert np.abs(g).sum() == pytest.approx(0.25, abs=1e-12)
 
@@ -198,7 +196,7 @@ def test_estimate_grad_policy_unbiased_for_truncated_gradient():
     chunks = []
     for rep in range(400):
         batch = sample_batch(game, model, pmin, pmax, 50, horizon, stream, purpose=0, outer=rep)
-        chunks.append(estimate_grad_policy(game, pmin, pmax, batch, "min"))
+        chunks.append(estimate_gradients(game, model, pmin, pmax, batch, "min"))
     mean, se = _chunked_mean_se(chunks)
     err = np.abs(mean - exact.reshape(-1))
     assert np.all(err <= 4 * se + 1e-12), (err, se)
@@ -214,7 +212,7 @@ def test_estimate_grad_x_unbiased_for_truncated_gradient():
     chunks = []
     for rep in range(400):
         batch = sample_batch(game, model, pmin, pmax, 50, horizon, stream, purpose=1, outer=rep)
-        chunks.append(estimate_grad_x(game, model, batch))
+        chunks.append(estimate_gradients(game, model, pmin, pmax, batch, "x"))
     mean, se = _chunked_mean_se(chunks)
     err = np.abs(mean - exact.reshape(-1))
     assert np.all(err <= 4 * se + 1e-12), (err, se)
@@ -232,7 +230,7 @@ def test_estimate_grad_policy_symmetric_game_is_mean_zero():
     chunks = []
     for rep in range(200):
         batch = sample_batch(game, model, pol, pol, 50, 3, stream, outer=rep)
-        chunks.append(estimate_grad_policy(game, pol, pol, batch, "max"))
+        chunks.append(estimate_gradients(game, model, pol, pol, batch, "max"))
     mean, se = _chunked_mean_se(chunks)
     assert np.all(np.abs(mean) <= 4 * se + 1e-12)
 
@@ -242,11 +240,6 @@ def test_estimate_gradients_bundle():
     rng = np.random.default_rng(36)
     pmin, pmax = random_policies(rng, 3, 2, 2)
     batch = sample_batch(game, model, pmin, pmax, 6, 3, RngStream(14))
-    np.testing.assert_array_equal(estimate_gradients(game, model, pmin, pmax, batch, "x"),
-                                  estimate_grad_x(game, model, batch))
-    for side in ("min", "max"):
-        np.testing.assert_array_equal(estimate_gradients(game, model, pmin, pmax, batch, side),
-                                      estimate_grad_policy(game, pmin, pmax, batch, side))
     with pytest.raises(ValueError, match="side"):
         estimate_gradients(game, model, pmin, pmax, batch, "y")
 
@@ -262,7 +255,7 @@ def test_variance_scales_inversely_with_batch():
         for rep in range(reps):
             batch = sample_batch(game, model, pmin, pmax, batch_size, 3, stream,
                                  purpose=purpose, outer=rep)
-            samples.append(estimate_grad_policy(game, pmin, pmax, batch, "min").reshape(-1))
+            samples.append(estimate_gradients(game, model, pmin, pmax, batch, "min").reshape(-1))
         m = np.array(samples)
         return m.var(axis=0, ddof=1).sum()
 

@@ -1,14 +1,25 @@
-"""The benchmark's tracer finds every name it wraps.
+"""The benchmark's tracer finds every name it wraps and reads what it expects.
 
 `bench/spans.py` wraps package functions in the module namespaces their
 callers look them up in, and upper-level objective methods on their classes.
 A name deleted or moved out of one of those places breaks `bench/run.py
 --trace 1`, so these tests check the tracer's tables against the package.
+The tracer also reads arguments by position and results by attribute, and
+counts oracle inner iterations from the pattern of exact-gradient calls; a
+change to any of these would corrupt the per-layer metrics silently, so the
+last tests check them on real calls.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import numpy as np
+
+from panda.envs import build_env
+from panda.game import TabularPolicy
+from panda.optim import PandaConfig, run_oracle
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -32,3 +43,36 @@ def test_traced_methods_are_defined_on_their_classes():
                for attr in methods
                if attr not in vars(getattr(importlib.import_module(module), cls))]
     assert not missing
+
+
+def test_batch_info_reads_batch_outer_and_inner_by_position():
+    from panda.sampling import RngStream, n_env_steps, sample_batch
+
+    params = list(inspect.signature(sample_batch).parameters)
+    assert [params[i] for i in (4, 8, 9)] == ["batch", "outer", "inner"]
+    env = build_env("synthetic")
+    pols = (TabularPolicy.uniform(5, 3), TabularPolicy.uniform(5, 3))
+    args = (env.game, env.model, *pols, 4, 3, RngStream(0), 2, 7, 5)
+    out = sample_batch(*args)
+    assert load_spans()._batch_info(args, {}, out) == (4, n_env_steps(out), 7, 5)
+
+
+def test_sweeps_reads_best_response_rounds():
+    from panda.exact import best_response
+
+    env = build_env("synthetic")
+    out = best_response(env.game, env.model, np.full((5, 3), 1 / 3), "max")
+    assert out.sweeps >= 1
+    assert load_spans()._sweeps((), {}, out) == out.sweeps
+
+
+def test_oracle_inner_counts_match_a_traced_oracle_run():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        tracer.run(run_oracle, build_env("synthetic"), PandaConfig(outer_iters=2),
+                   inner_cap=3, inner_tol=0.0)
+    finally:
+        uninstall()
+    assert spans._oracle_inner_counts(tracer.spans) == [3, 3]
