@@ -113,10 +113,9 @@ class SyntheticUL:
     def grad_policies_estimate(self, model, policy_min, policy_max, batch,
                                stream: RngStream, purpose=0, outer=0, inner=0):
         trajs = self._sample(policy_min, policy_max, batch, stream, purpose, outer, inner)
-        gamma = self.mdp.discount
-        gmin = -reinforce(trajs, trajs.rewards, probs(policy_min), "min", gamma)
-        gmax = -reinforce(trajs, trajs.rewards, probs(policy_max), "max", gamma)
-        return gmin, gmax, n_env_steps(trajs)
+        gmin, gmax = reinforce(trajs, trajs.rewards, [probs(policy_min), probs(policy_max)],
+                               ["min", "max"], self.mdp.discount)
+        return -gmin, -gmax, n_env_steps(trajs)
 
     def grad_x_estimate(self, model, policy_min, policy_max, batch,
                         stream: RngStream, purpose=0, outer=0, inner=0):
@@ -255,9 +254,8 @@ class SentinelUL:
                                stream: RngStream, purpose=0, outer=0, inner=0):
         trajs = sample_batch(self.game, model, policy_min, policy_max, batch,
                              self.horizon, stream, purpose, outer, inner)
-        counts = self._counts(trajs)
-        gmin = reinforce(trajs, counts, probs(policy_min), "min", 1.0)
-        gmax = reinforce(trajs, counts, probs(policy_max), "max", 1.0)
+        gmin, gmax = reinforce(trajs, self._counts(trajs),
+                               [probs(policy_min), probs(policy_max)], ["min", "max"], 1.0)
         return gmin, gmax, n_env_steps(trajs)
 
     def grad_x_estimate(self, model, policy_min, policy_max, batch,

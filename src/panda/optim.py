@@ -33,7 +33,10 @@ on J alone, ignoring f's coupling into the policies.
 
 All stochastic gradients draw fresh trajectory batches from counter-based
 streams keyed on (purpose, outer, inner, trajectory), so runs are
-reproducible bit-for-bit regardless of scheduling.
+reproducible bit-for-bit regardless of scheduling.  The gradients of one
+update phase (the shadow pair, the penalty pair, the incentive pair, the
+descent-ascent pair) are asked for together through `j_grads`, which the
+sampled source answers with one stacked batch.
 """
 
 from __future__ import annotations
@@ -296,23 +299,26 @@ def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
 
 
 # --------------------------------------------------------------------------
-# Gradient sources.  Each answers `j_grad` (J's gradient in one block, "x",
-# "min" or "max", at a policy pair, for a stream purpose and (outer, inner)),
-# `ul_policies` and `ul_x` (the upper-level objective's gradients), each
-# call also returning the environment steps it consumed.
+# Gradient sources.  Each answers `j_grads` (J's gradients for one update
+# phase: a list of requests (policy_min, policy_max, side, purpose), each
+# asking for one block, "x", "min" or "max", at a policy pair, all at one
+# (outer, inner)), `ul_policies` and `ul_x` (the upper-level objective's
+# gradients), each call also returning the environment steps it consumed.
 # --------------------------------------------------------------------------
 
 class _Sampled:
-    """Policy-gradient estimates, each from a fresh trajectory batch."""
+    """Policy-gradient estimates, each from a fresh trajectory batch; the
+    requests of one phase are drawn and estimated as one stacked batch."""
 
     def __init__(self, env: EnvBundle, cfg: PandaConfig):
         self.env, self.cfg, self.stream = env, cfg, RngStream(cfg.seed)
 
-    def j_grad(self, model_x, policy_min, policy_max, side, purpose, outer, inner):
+    def j_grads(self, model_x, requests, outer, inner):
         game, cfg = self.env.game, self.cfg
-        batch = sample_batch(game, model_x, policy_min, policy_max, cfg.batch_traj,
-                             cfg.horizon, self.stream, purpose, outer, inner)
-        return (estimate_gradients(game, model_x, policy_min, policy_max, batch, side),
+        policies_min, policies_max, sides, purposes = (list(c) for c in zip(*requests))
+        batch = sample_batch(game, model_x, policies_min, policies_max, cfg.batch_traj,
+                             cfg.horizon, self.stream, purposes, outer, inner)
+        return (estimate_gradients(game, model_x, policies_min, policies_max, batch, sides),
                 n_env_steps(batch))
 
     def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
@@ -332,10 +338,11 @@ class _Exact:
     def __init__(self, env: EnvBundle):
         self.env = env
 
-    def j_grad(self, model_x, policy_min, policy_max, side, purpose, outer, inner):
-        if side == "x":
-            return exact_grad_x(self.env.game, model_x, policy_min, policy_max), 0
-        return exact_grad_policy(self.env.game, model_x, policy_min, policy_max, side), 0
+    def j_grads(self, model_x, requests, outer, inner):
+        game = self.env.game
+        return [exact_grad_x(game, model_x, pmin, pmax) if side == "x"
+                else exact_grad_policy(game, model_x, pmin, pmax, side)
+                for pmin, pmax, side, _ in requests], 0
 
     def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
         return (*self.env.ul.grad_policies_exact(model_x, policy_min, policy_max), 0)
@@ -358,27 +365,25 @@ def _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max, f_scale, pen
     (1, lam), the penalized loss itself.  Returns the step's gradients.
     """
     f_gmin, f_gmax, s1 = src.ul_policies(model_x, state.policy_min, state.policy_max, t, k)
-    pen_min, s2 = src.j_grad(model_x, state.policy_min, shadow_max, "min",
-                             PURPOSE_PENALTY_MIN, t, k)
-    pen_max, s3 = src.j_grad(model_x, shadow_min, state.policy_max, "max",
-                             PURPOSE_PENALTY_MAX, t, k)
+    (pen_min, pen_max), s2 = src.j_grads(
+        model_x, [(state.policy_min, shadow_max, "min", PURPOSE_PENALTY_MIN),
+                  (shadow_min, state.policy_max, "max", PURPOSE_PENALTY_MAX)], t, k)
     gmin = f_scale * f_gmin + pen_scale * pen_min
     gmax = f_scale * f_gmax - pen_scale * pen_max
     _step_policies(state, cfg, gmin, gmax, optimizer, t, k)
-    state.env_steps += s1 + s2 + s3
+    state.env_steps += s1 + s2
     return gmin, gmax
 
 
 def _incentive_step(src, cfg, state, model_x, shadow_min, shadow_max, optimizer, t):
     """Outer update of x along f's gradient plus lam times the surrogate gap's."""
-    g_main, s1 = src.j_grad(model_x, state.policy_min, shadow_max, "x",
-                            PURPOSE_OUTER_X_MAIN, t, 0)
-    g_shadow, s2 = src.j_grad(model_x, shadow_min, state.policy_max, "x",
-                              PURPOSE_OUTER_X_SHADOW, t, 0)
-    f_gx, s3 = src.ul_x(model_x, state.policy_min, state.policy_max, t)
+    (g_main, g_shadow), s1 = src.j_grads(
+        model_x, [(state.policy_min, shadow_max, "x", PURPOSE_OUTER_X_MAIN),
+                  (shadow_min, state.policy_max, "x", PURPOSE_OUTER_X_SHADOW)], t, 0)
+    f_gx, s2 = src.ul_x(model_x, state.policy_min, state.policy_max, t)
     ell = f_gx + cfg.lam * (g_main - g_shadow)
     state.x = _step(state.x, cfg.eta_x, ell, "incentive", optimizer, t)
-    state.env_steps += s1 + s2 + s3
+    state.env_steps += s1 + s2
 
 
 def _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, optimizer, t, k):
@@ -387,10 +392,9 @@ def _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, optimizer, 
     Each shadow first takes one gradient step toward its best response; the
     policy pair then takes the penalty step against the advanced shadows.
     """
-    u, s1 = src.j_grad(model_x, state.shadow_min, state.policy_max, "min",
-                       PURPOSE_SHADOW_MIN, t, k)
-    v, s2 = src.j_grad(model_x, state.policy_min, state.shadow_max, "max",
-                       PURPOSE_SHADOW_MAX, t, k)
+    (u, v), steps = src.j_grads(
+        model_x, [(state.shadow_min, state.policy_max, "min", PURPOSE_SHADOW_MIN),
+                  (state.policy_min, state.shadow_max, "max", PURPOSE_SHADOW_MAX)], t, k)
     shadow_min = TabularPolicy(_step(state.shadow_min.logits, cfg.eta_shadow_min, u,
                                      "min-shadow", optimizer, t, k))
     shadow_max = TabularPolicy(_step(state.shadow_max.logits, cfg.eta_shadow_max, -v,
@@ -398,7 +402,7 @@ def _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, optimizer, 
     _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max,
                   f_scale, pen_scale, optimizer, t, k)
     state.shadow_min, state.shadow_max = shadow_min, shadow_max
-    state.env_steps += s1 + s2
+    state.env_steps += steps
 
 
 def _shadow_run(env, cfg, optimizer, reset, f_scale, pen_scale) -> RunResult:
@@ -460,15 +464,14 @@ def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
     def step(t):
         model_x = env.model.with_params(state.x)
         for k in range(cfg.inner_iters):
-            u, s1 = src.j_grad(model_x, state.policy_min, state.policy_max, "min",
-                               PURPOSE_SHADOW_MIN, t, k)
-            v, s2 = src.j_grad(model_x, state.policy_min, state.policy_max, "max",
-                               PURPOSE_SHADOW_MAX, t, k)
+            pair = (state.policy_min, state.policy_max)
+            (u, v), steps = src.j_grads(model_x, [(*pair, "min", PURPOSE_SHADOW_MIN),
+                                                  (*pair, "max", PURPOSE_SHADOW_MAX)], t, k)
             _step_policies(state, cfg, u, -v, "alternating", t, k)
-            state.env_steps += s1 + s2
-        f_gx, s3 = src.ul_x(model_x, state.policy_min, state.policy_max, t)
+            state.env_steps += steps
+        f_gx, steps = src.ul_x(model_x, state.policy_min, state.policy_max, t)
         state.x = _step(state.x, cfg.eta_x, f_gx, "incentive", "alternating", t)
-        state.env_steps += s3
+        state.env_steps += steps
 
     return _metrics_loop(env, cfg, state, step)
 

@@ -13,9 +13,21 @@ the same streams would give.  A batch is returned as one `TrajBatch`:
 (B, H) arrays zero-padded past each trajectory's length, which every
 estimator reads as they are.
 
+An optimizer's update phase asks for several gradients at one (outer,
+inner) coordinate, each from its own policy pair and stream purpose.
+`sample_batch` and `estimate_gradients` take such a phase as lists, one entry
+per request, and treat it as one stacked batch: request p owns rows
+p*B ... (p+1)*B - 1, drawn from its own purpose's streams, and reads its
+policies' tables (built once per distinct policy) stacked as (P*S, K) arrays
+at row p*S + s.  Its gradient accumulates at its own offset of one
+`np.add.at`, in the order a call for that request alone would use, so a
+stacked phase gives each request the bits a separate call would.  A single
+pair is the one-request case of the same code.
+
 All policy-gradient estimates go through one REINFORCE loop, `reinforce`,
 which weights each step's score by the discounted reward-to-go of whatever
-per-step rewards it is given.  For the entropy-regularized game value those
+per-step rewards it is given, for one player or for several players at once
+on one batch.  For the entropy-regularized game value those
 are the regularized rewards (environment reward plus tau-weighted
 log-probabilities of the executed actions); the environments feed it their
 upper-level rewards.  The reward-parameter gradient accumulates discounted
@@ -24,7 +36,7 @@ derivative mass on the visited (s, a, b) triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,35 +60,59 @@ class RngStream:
     """Factory for per-trajectory Philox generators.
 
     `generator(purpose, outer, inner, traj)` places the four coordinates in
-    the upper Philox counter words (word 0 stays free for block advancement),
-    so distinct coordinates can never overlap streams.  The seed, an integer
-    in [0, 2**64), is the first key word.
+    the upper Philox counter words (word 0 stays free for block advancement):
+    traj and inner fill words 1 and 2, purpose and outer share word 3 as
+    `(purpose << 48) | outer`.  Each coordinate must be an integer in its
+    field, purpose in [0, 2**16), outer in [0, 2**48), inner and traj in
+    [0, 2**64), so distinct coordinates can never overlap streams.  The seed,
+    an integer in [0, 2**64), is the first key word.
     """
 
     seed: int
+    # one generator and a fresh state of it, built on the first `uniforms` call
+    _rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
+    @staticmethod
+    def _counter(purpose, outer, inner, traj) -> np.ndarray:
+        for name, v, bits in (("purpose", purpose, 16), ("outer", outer, 48),
+                              ("inner", inner, 64), ("traj", traj, 64)):
+            if not (_is_int(v) and 0 <= v < 1 << bits):
+                raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {v!r}")
+        return np.array([0, int(traj), int(inner), int(purpose) << 48 | int(outer)],
+                        dtype=np.uint64)
+
     def generator(self, purpose: int = 0, outer: int = 0, inner: int = 0,
                   traj: int = 0) -> np.random.Generator:
         key = np.array([self.seed, _KEY_SALT], dtype=np.uint64)
-        counter = [0, traj, inner, (purpose << 48) | outer]
-        return np.random.Generator(np.random.Philox(counter=counter, key=key))
+        return np.random.Generator(np.random.Philox(
+            counter=self._counter(purpose, outer, inner, traj), key=key))
 
     def uniforms(self, purpose: int, outer: int, inner: int, batch: int,
                  n: int) -> np.ndarray:
         """(batch, n) uniforms; row i equals `generator(purpose, outer, inner, i).random(n)`.
 
-        One generator is built and its Philox state reset per row, which is
-        cheaper than building a generator per trajectory.
+        The coordinates are checked once per call.  The stream keeps one
+        generator and sets its whole Philox state (counter, buffer) per row,
+        which is cheaper than building a generator per trajectory or per
+        call: building one costs about 25 us, most of it the OS entropy a
+        bit generator draws before its key is replaced.  A numpy
+        Philox4x64-10 that gives the same bits, one block per row and
+        counter, was slower than a generator per call: 682 us against 120 us
+        at 16 rows of 10, and 1,063 us against 448 us at 64 rows of 61.
         """
-        gen = self.generator(purpose, outer, inner, 0)
-        state = gen.bit_generator.state
+        if not self._rows:
+            gen = self.generator()
+            self._rows.extend((gen, gen.bit_generator.state))
+        gen, state = self._rows
+        counter = state["state"]["counter"]
+        counter[:] = self._counter(purpose, outer, inner, 0)
         out = np.empty((batch, n))
         for i in range(batch):
-            state["state"]["counter"][1] = i
+            counter[1] = i
             gen.bit_generator.state = state
             gen.random(out=out[i])
         return out
@@ -124,31 +160,71 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum > u[:, None]).argmax(axis=-1)
 
 
-def _successors(game: MarkovGame, sab, u) -> np.ndarray:
-    """Next states drawn by uniforms `u` over the successor lists of flat (s, a, b) indices.
+def _successors(game: MarkovGame):
+    """Function drawing next states by uniforms `u` over the successor lists of flat
+    (s, a, b) indices `sab`, its cumulative rows built once.
 
     A game whose lists hold one successor each needs no draw.
     """
     k = game.succ.shape[3]
     succ = game.succ.reshape(-1, k)
     if k == 1:
-        return succ[sab, 0]
-    return succ[sab, _pick(_cumulative(game.succ_prob.reshape(-1, k)[sab]), u)]
+        return lambda sab, u: succ[sab, 0]
+    cum = _cumulative(game.succ_prob.reshape(-1, k))
+    return lambda sab, u: succ[sab, _pick(cum[sab], u)]
 
 
-def _rollout_batch(game, model, policy_min, policy_max, horizon, us) -> TrajBatch:
+def _requests(policy_min, policy_max, per_request):
+    """Lists of the requests' policies and of `per_request`, and whether they came as lists.
+
+    A single policy pair is the one-request case; lists give one entry per
+    request, and all three must have the same length.
+    """
+    if not isinstance(policy_min, (list, tuple)):
+        return [policy_min], [policy_max], [per_request], False
+    if not len(policy_min) == len(policy_max) == len(per_request) > 0:
+        raise ValueError("a stacked call needs as many policy pairs as purposes or sides")
+    return list(policy_min), list(policy_max), list(per_request), True
+
+
+def _once(table):
+    """`table` as a function of a policy that builds it once per distinct policy object."""
+    built = {}
+
+    def get(policy):
+        if id(policy) not in built:
+            built[id(policy)] = table(policy)
+        return built[id(policy)]
+    return get
+
+
+def _block_offsets(n: int, n_req: int, size: int) -> np.ndarray:
+    """p * size for each of n rows split into n_req equal blocks, p the row's block.
+
+    Request p's (S, K) tables are stacked into (P*S, K) arrays at rows
+    p*S ... (p+1)*S - 1, so a row of block p in state s reads row p*S + s.
+    """
+    return np.repeat(np.arange(n_req) * size, n // n_req)
+
+
+def _rollout_batch(game, model, policies_min, policies_max, horizon, us) -> TrajBatch:
     """Step all trajectories of a batch together.
 
     Row i of `us` holds trajectory i's uniforms: the initial state, then
-    (min action, max action, next state) per step.  Every row is stepped
-    while any trajectory is running; a trajectory ends once it enters an
-    absorbing state, and the steps recorded past its end are zeroed at the
-    end.
+    (min action, max action, next state) per step.  The rows are split into
+    one equal block per policy pair, each block acting with its own pair.
+    Every row is stepped while any trajectory is running; a trajectory ends
+    once it enters an absorbing state, and the steps recorded past its end
+    are zeroed at the end.
     """
     n = len(us)
-    _, na, nb, _ = game.succ.shape
+    n_states, na, nb, _ = game.succ.shape
     r_flat = effective_reward(game, model).ravel()
-    cum_y, cum_z = _cumulative(probs(policy_min)), _cumulative(probs(policy_max))
+    cum = _once(lambda p: _cumulative(probs(p)))
+    cum_y = np.concatenate([cum(p) for p in policies_min])
+    cum_z = np.concatenate([cum(p) for p in policies_max])
+    block = _block_offsets(n, len(policies_min), n_states)
+    successors = _successors(game)
     states = np.empty((n, horizon), dtype=np.intp)
     amin = np.empty_like(states)
     amax = np.empty_like(states)
@@ -158,12 +234,13 @@ def _rollout_batch(game, model, policy_min, policy_max, horizon, us) -> TrajBatc
     s = _pick(_cumulative(game.init_dist), us[:, 0])
     for t in range(horizon):
         k = 1 + 3 * t
-        a = _pick(cum_y[s], us[:, k])
-        b = _pick(cum_z[s], us[:, k + 1])
+        row = block + s
+        a = _pick(cum_y[row], us[:, k])
+        b = _pick(cum_z[row], us[:, k + 1])
         states[:, t], amin[:, t], amax[:, t] = s, a, b
         sab = (s * na + a) * nb + b
         rewards[:, t] = r_flat[sab]
-        s = _successors(game, sab, us[:, k + 2])
+        s = successors(sab, us[:, k + 2])
         ended = running & game.absorbing[s]
         lengths[ended] = t + 1
         running &= ~ended
@@ -176,50 +253,56 @@ def _rollout_batch(game, model, policy_min, policy_max, horizon, us) -> TrajBatc
 
 
 def sample_batch(game: MarkovGame, model: RewardModel, policy_min, policy_max,
-                 batch: int, horizon: int, stream: RngStream, purpose: int = 0,
+                 batch: int, horizon: int, stream: RngStream, purpose: int | list = 0,
                  outer: int = 0, inner: int = 0) -> TrajBatch:
-    """Sample `batch` independent trajectories on dedicated per-index streams."""
-    return _rollout_batch(game, model, policy_min, policy_max, horizon,
-                          stream.uniforms(purpose, outer, inner, batch, 1 + 3 * horizon))
+    """Sample `batch` independent trajectories on dedicated per-index streams.
+
+    `policy_min`, `policy_max` and `purpose` may also be equal-length lists,
+    one entry per request: the batch then stacks `batch` trajectories per
+    request, rows p*batch ... (p+1)*batch - 1 those of request p, each row
+    the trajectory a call for request p alone would give.
+    """
+    policies_min, policies_max, purposes, _ = _requests(policy_min, policy_max, purpose)
+    us = np.concatenate([stream.uniforms(p, outer, inner, batch, 1 + 3 * horizon)
+                         for p in purposes])
+    return _rollout_batch(game, model, policies_min, policies_max, horizon, us)
 
 
 def n_env_steps(batch: TrajBatch) -> int:
     return int(batch.lengths.sum())
 
 
-def _reg_rewards(game: MarkovGame, lp_y, lp_z, batch: TrajBatch) -> np.ndarray:
-    """Per-step regularized rewards r + tau_min*log y - tau_max*log z, zero past each length."""
-    s, a, b = batch.states, batch.actions_min, batch.actions_max
-    u = batch.rewards + game.tau_min * lp_y[s, a] - game.tau_max * lp_z[s, b]
-    u[game.absorbing[s] | ~batch.mask] = 0.0
-    return u
+def _check_side(side, allowed=("min", "max")):
+    if side not in allowed:
+        raise ValueError(f"side must be {' or '.join(map(repr, allowed))}, got {side!r}")
 
 
-def reinforce(batch: TrajBatch, step_rewards: np.ndarray, probs, side: str,
-              gamma: float) -> np.ndarray:
-    """Batch-mean REINFORCE gradient sum_t gamma^t score_t * reward-to-go_t.
-
-    `step_rewards` (B, H) holds the per-step rewards of the batch's
-    trajectories and must be zero past each trajectory's length, since the
-    reward-to-go sums the whole row; `probs` (S, K) is the acting player's
-    policy on `side` ("min" or "max"), whose softmax logits the gradient is
-    taken in.  The whole batch is processed at once; the gradient entries
-    are accumulated trajectory by trajectory in step order, as a
-    per-trajectory loop would.
-    """
-    if side not in ("min", "max"):
-        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
-    s = batch.states
-    acts = batch.actions_min if side == "min" else batch.actions_max
-    mask = batch.mask
-    n, h = s.shape
-    k = probs.shape[1]
+def _discounted_to_go(step_rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """gamma^t times the reward-to-go of each step of (n, H) rewards."""
+    n, h = step_rewards.shape
     g = np.zeros((n, h))
     acc = np.zeros(n)
     for t in range(h - 1, -1, -1):
         acc = step_rewards[:, t] + gamma * acc
         g[:, t] = acc
-    w = g * gamma ** np.arange(h)
+    return g * gamma ** np.arange(h)
+
+
+def _score_sums(s, acts, w, mask, tables) -> list[np.ndarray]:
+    """Batch sums of REINFORCE terms w * (e_act - pi(.|s)), one per table, in one `np.add.at`.
+
+    The (n, H) rows are split into one equal block per table (S, K_p), block p
+    scored against table p.  The tables are stacked, zero-padded to the widest
+    K, into one (P*S, K) array that row i of block p reads at `s` = p*S + its
+    state, which is also its accumulator row, so accumulator
+    p sits at offset p*S*K.  Each cell's terms are added trajectory by
+    trajectory in step order, as a per-trajectory loop would.
+    """
+    n, h = s.shape
+    n_states, k = len(tables[0]), max(t.shape[1] for t in tables)
+    probs = np.zeros((len(tables) * n_states, k))
+    for p, t in enumerate(tables):
+        probs[p * n_states:(p + 1) * n_states, :t.shape[1]] = t
     # per trajectory: its chosen-action entries, then its -w*pi rows
     idx = np.concatenate([s * k + acts, (s[:, :, None] * k + np.arange(k)).reshape(n, -1)],
                          axis=1)
@@ -227,23 +310,71 @@ def reinforce(batch: TrajBatch, step_rewards: np.ndarray, probs, side: str,
     sel = np.concatenate([mask, np.repeat(mask, k, axis=1)], axis=1)
     grad = np.zeros(probs.size)
     np.add.at(grad, idx[sel], val[sel])
-    return grad.reshape(probs.shape) / len(batch)
+    grad = grad.reshape(len(tables), n_states, k)
+    return [g[:, :t.shape[1]] for g, t in zip(grad, tables)]
 
 
-def estimate_gradients(game: MarkovGame, model: RewardModel, policy_min: TabularPolicy,
-                       policy_max: TabularPolicy, batch: TrajBatch, side: str) -> np.ndarray:
-    """Batch-mean gradient of J in one block: "x" (incentives), "min" or "max" (logits)."""
-    if side == "x":
+def reinforce(batch: TrajBatch, step_rewards: np.ndarray, probs, side, gamma: float):
+    """Batch-mean REINFORCE gradient sum_t gamma^t score_t * reward-to-go_t.
+
+    `step_rewards` (B, H) holds the per-step rewards of the batch's
+    trajectories and must be zero past each trajectory's length, since the
+    reward-to-go sums the whole row; `probs` (S, K) is the acting player's
+    policy on `side` ("min" or "max"), whose softmax logits the gradient is
+    taken in.  `probs` and `side` may also be equal-length lists, one entry
+    per player whose gradient the same batch estimates; the result is then a
+    list.  The whole batch is processed at once; the gradient entries are
+    accumulated trajectory by trajectory in step order, as a per-trajectory
+    loop would.
+    """
+    listed = isinstance(side, (list, tuple))
+    tables, sides = (probs, side) if listed else ([probs], [side])
+    for sd in sides:
+        _check_side(sd)
+    # one copy of the batch's rows per side, scored against that side's table
+    states, w, mask = (np.concatenate([rows] * len(sides)) for rows in
+                       (batch.states, _discounted_to_go(step_rewards, gamma), batch.mask))
+    acts = np.concatenate([batch.actions_min if sd == "min" else batch.actions_max
+                           for sd in sides])
+    rows = states + _block_offsets(len(states), len(sides), len(tables[0]))[:, None]
+    grads = [g / len(batch) for g in _score_sums(rows, acts, w, mask, tables)]
+    return grads if listed else grads[0]
+
+
+def estimate_gradients(game: MarkovGame, model: RewardModel, policy_min, policy_max,
+                       batch: TrajBatch, side):
+    """Batch-mean gradient of J in one block: "x" (incentives), "min" or "max" (logits).
+
+    With lists of policies and sides, one entry per request of a stacked
+    `sample_batch`, row block p of `batch` estimates request p's block and the
+    result is a list; the sides must then be all "x" or all policy sides.
+    """
+    policies_min, policies_max, sides, listed = _requests(policy_min, policy_max, side)
+    for sd in sides:
+        _check_side(sd, ("x", "min", "max"))
+    n_req, per = len(sides), len(batch) // len(sides)
+    s, a, b = batch.states, batch.actions_min, batch.actions_max
+    mask = batch.mask
+    if "x" in sides:
+        if set(sides) != {"x"}:
+            raise ValueError("a stacked call cannot mix side 'x' with policy sides")
         gx = effective_reward_grad_x(game, model)
-        s, a, b = batch.states, batch.actions_min, batch.actions_max
-        mask = batch.mask
         w = gx[s, a, b] * game.discount ** np.arange(s.shape[1])
-        grad = np.zeros(gx.size)
-        np.add.at(grad, np.ravel_multi_index((s, a, b), gx.shape)[mask], w[mask])
-        return grad.reshape(gx.shape) / len(batch)
-    if side not in ("min", "max"):
-        raise ValueError(f"side must be 'x', 'min' or 'max', got {side!r}")
-    lp_y = policy_min.log_probs_all()
-    lp_z = policy_max.log_probs_all()
-    return reinforce(batch, _reg_rewards(game, lp_y, lp_z, batch),
-                     np.exp(lp_y if side == "min" else lp_z), side, game.discount)
+        block = _block_offsets(len(batch), n_req, gx.size)[:, None]
+        grad = np.zeros(n_req * gx.size)
+        np.add.at(grad, (np.ravel_multi_index((s, a, b), gx.shape) + block)[mask], w[mask])
+        grads = list(grad.reshape(n_req, *gx.shape) / per)
+    else:
+        log_probs = _once(TabularPolicy.log_probs_all)
+        score_probs = _once(lambda p: np.exp(log_probs(p)))
+        row = s + _block_offsets(len(batch), n_req, game.n_states)[:, None]
+        lp_y = np.concatenate([log_probs(p) for p in policies_min])
+        lp_z = np.concatenate([log_probs(p) for p in policies_max])
+        u = batch.rewards + game.tau_min * lp_y[row, a] - game.tau_max * lp_z[row, b]
+        u[game.absorbing[s] | ~mask] = 0.0
+        acts = np.where(np.repeat([sd == "min" for sd in sides], per)[:, None], a, b)
+        tables = [score_probs(pmin if sd == "min" else pmax)
+                  for pmin, pmax, sd in zip(policies_min, policies_max, sides)]
+        grads = [g / per for g in _score_sums(row, acts, _discounted_to_go(u, game.discount),
+                                              mask, tables)]
+    return grads if listed else grads[0]

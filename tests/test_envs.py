@@ -357,3 +357,35 @@ def test_padded_steps_never_leak():
             ref_x[sab] += game.discount ** t * gx[sab]
     np.testing.assert_allclose(estimate_gradients(game, model, pmin, pmax, batch, "x"),
                                ref_x / len(batch), rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["synthetic", "sentinel"])
+def test_ul_estimators_sample_exactly_their_horizon(name, monkeypatch):
+    """Every `*_estimate` method rolls out `ul.horizon` steps and counts the steps it drew.
+
+    The z-score test above cannot see a rollout one step too long: on the
+    grid most trajectories end before the horizon.
+    """
+    from panda import envs
+
+    env = build_env(name)
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(sample_batch(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(envs, "sample_batch", recording)
+    pmin, pmax = uniform_pols(env)
+    methods = sorted(m for m in vars(type(env.ul)) if m.endswith("_estimate"))
+    assert methods == ["grad_policies_estimate", "grad_x_estimate", "value_estimate"]
+    sampled = set()
+    for method in methods:
+        drawn.clear()
+        out = getattr(env.ul, method)(env.model, pmin, pmax, 8, RngStream(1),
+                                      purpose=4, outer=2, inner=3)
+        assert [b.states.shape for b in drawn] == [(8, env.ul.horizon)] * len(drawn), method
+        assert out[-1] == sum(int(b.lengths.sum()) for b in drawn), method
+        if drawn:
+            sampled.add(method)
+    assert sampled == {"grad_policies_estimate", "value_estimate"}

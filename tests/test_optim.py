@@ -297,10 +297,10 @@ class TruncatedExact:
     def __init__(self, env, cfg):
         self.env, self.horizon = env, cfg.horizon
 
-    def j_grad(self, model_x, policy_min, policy_max, side, purpose, outer, inner):
-        grads = exact_grads_truncated(self.env.game, model_x, policy_min, policy_max,
-                                      self.horizon)
-        return grads[("min", "max", "x").index(side)], 0
+    def j_grads(self, model_x, requests, outer, inner):
+        return [exact_grads_truncated(self.env.game, model_x, policy_min, policy_max,
+                                      self.horizon)[("min", "max", "x").index(side)]
+                for policy_min, policy_max, side, _ in requests], 0
 
     def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
         return (*self.env.ul.grad_policies_exact(model_x, policy_min, policy_max), 0)

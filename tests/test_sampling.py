@@ -346,7 +346,7 @@ def test_successor_draws_match_dense_searchsorted():
         u = u[u < cum[-1]]
         n = len(u)
         sab = np.ravel_multi_index((s, a, b), p.shape[:3])
-        got = _successors(game, np.full(n, sab), u)
+        got = _successors(game)(np.full(n, sab), u)
         assert np.array_equal(got, np.searchsorted(cum, u, side="right")), (s, a, b)
 
 
@@ -357,4 +357,107 @@ def test_successor_draw_past_a_short_row_sum_stays_on_a_successor():
     prob = np.array([[[[0.5, 0.5 - 1e-12, 0.0]]], [[[1.0, 0.0, 0.0]]]])
     game = MarkovGame.from_successors(succ, prob, np.array([1.0, 0.0]),
                                       np.array([False, True]), 0.9, 0.1, 0.1)
-    assert _successors(game, np.zeros(1, np.intp), np.array([1.0 - 1e-13])).tolist() == [1]
+    assert _successors(game)(np.zeros(1, np.intp), np.array([1.0 - 1e-13])).tolist() == [1]
+
+
+def test_rng_stream_rejects_coordinates_outside_their_fields():
+    stream = RngStream(5)
+    # purpose and outer share one counter word: outer 2**48 would alias purpose 1
+    with pytest.raises(ValueError, match=r"outer must be an integer in \[0, 2\*\*48\)"):
+        stream.generator(purpose=0, outer=2**48)
+    with pytest.raises(ValueError, match=r"purpose must be an integer in \[0, 2\*\*16\)"):
+        stream.generator(purpose=2**16)
+    for coords in ({"outer": -1}, {"inner": -1}, {"traj": -1}, {"purpose": -1},
+                   {"inner": 2**64}, {"traj": 2**64}, {"inner": True}, {"outer": 1.0}):
+        with pytest.raises(ValueError, match=f"{next(iter(coords))} must be an integer"):
+            stream.generator(**coords)
+    with pytest.raises(ValueError, match="outer must be an integer"):
+        stream.uniforms(0, -1, 0, 4, 3)
+    # the largest coordinates of each field are distinct streams
+    top = [stream.generator(2**16 - 1, 0).random(2), stream.generator(0, 2**48 - 1).random(2),
+           stream.generator(inner=2**64 - 1).random(2), stream.generator(traj=2**64 - 1).random(2),
+           stream.generator(1, 0).random(2)]
+    assert len({d.tobytes() for d in top}) == 5
+    assert np.array_equal(stream.generator(np.int64(1), np.uint64(3)).random(2),
+                          stream.generator(1, 3).random(2))
+
+
+def _stacking_games():
+    """Random games with 0-2 absorbing states and unequal action sets, the gapped game,
+    and the pursuit grid."""
+    from panda.envs import build_env
+
+    rng = np.random.default_rng(61)
+    games = [random_game(170 + i, n_states=4, na=2, nb=3, n_absorbing=i) for i in range(3)]
+    gapped = MarkovGame(gapped_transition(), np.array([0.4, 0.4, 0.2]),
+                        np.array([False, False, True]), 0.9, 0.1, 0.1)
+    games.append((gapped, RewardModel(rng.normal(size=(3, 2, 2)),
+                                      rng.normal(size=(3, 2, 2)), 1.0)))
+    grid = build_env("sentinel")
+    games.append((grid.game, grid.model.with_params(rng.normal(size=grid.model.base.shape))))
+    return games
+
+
+def test_stacked_batches_give_the_per_pair_bits():
+    """A stacked sample_batch + estimate_gradients against one call per pair, byte for byte."""
+    rng = np.random.default_rng(62)
+    early_ends = 0
+    for g, (game, model) in enumerate(_stacking_games()):
+        S, A, B, _ = game.succ.shape
+        y0, z0 = random_policies(rng, S, A, B, spread=2.0)
+        y1, z1 = random_policies(rng, S, A, B, spread=2.0)
+        # one policy repeated across pairs in each list, as descent-ascent does
+        pairs = [(y0, z0), (y1, z0), (y0, z1)]
+        purposes = [2, 5, 3]
+        for n_req in (1, 2, 3):
+            pmins, pmaxs = [p[0] for p in pairs[:n_req]], [p[1] for p in pairs[:n_req]]
+            for horizon in (1, 3, 20):
+                stream, batch = RngStream(g), int(rng.integers(1, 12))
+                coords = {"outer": horizon, "inner": g}
+                stacked = sample_batch(game, model, pmins, pmaxs, batch, horizon, stream,
+                                       purposes[:n_req], **coords)
+                alone = [sample_batch(game, model, pmins[p], pmaxs[p], batch, horizon, stream,
+                                      purposes[p], **coords) for p in range(n_req)]
+                for name in ("states", "actions_min", "actions_max", "rewards", "lengths"):
+                    got = getattr(stacked, name)
+                    want = np.concatenate([getattr(a, name) for a in alone])
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                        (g, n_req, horizon, name)
+                early_ends += int((stacked.lengths < horizon).sum())
+                for sides in (["min", "max", "min"], ["max", "min", "max"], ["x"] * 3):
+                    grads = estimate_gradients(game, model, pmins, pmaxs, stacked,
+                                               sides[:n_req])
+                    assert len(grads) == n_req
+                    for p, (got, one) in enumerate(zip(grads, alone)):
+                        want = estimate_gradients(game, model, pmins[p], pmaxs[p], one,
+                                                  sides[p])
+                        assert (got.dtype == want.dtype and got.shape == want.shape
+                                and got.tobytes() == want.tobytes()), (g, n_req, horizon, sides, p)
+    assert early_ends > 50
+
+
+def test_stacked_calls_check_their_requests():
+    game, model = random_game(173, n_states=3)
+    rng = np.random.default_rng(63)
+    pmin, pmax = random_policies(rng, 3, 2, 2)
+    with pytest.raises(ValueError, match="as many policy pairs"):
+        sample_batch(game, model, [pmin, pmin], [pmax], 4, 2, RngStream(0), [0, 1])
+    batch = sample_batch(game, model, [pmin, pmin], [pmax, pmax], 4, 2, RngStream(0), [0, 1])
+    with pytest.raises(ValueError, match="cannot mix"):
+        estimate_gradients(game, model, [pmin, pmin], [pmax, pmax], batch, ["x", "min"])
+    with pytest.raises(ValueError, match="side"):
+        estimate_gradients(game, model, [pmin, pmin], [pmax, pmax], batch, ["min", "y"])
+
+
+def test_reinforce_on_lists_gives_each_sides_bits():
+    game, model = random_game(179, n_states=4, na=2, nb=3, n_absorbing=1)
+    rng = np.random.default_rng(64)
+    pmin, pmax = random_policies(rng, 4, 2, 3, spread=2.0)
+    batch = sample_batch(game, model, pmin, pmax, 9, 6, RngStream(3))
+    rewards = np.where(batch.mask, rng.normal(size=batch.rewards.shape), 0.0)
+    y, z = pmin.probs_all(), pmax.probs_all()
+    for tables, sides in (([y, z], ["min", "max"]), ([z, y, z], ["max", "min", "max"])):
+        grads = reinforce(batch, rewards, tables, sides, 0.9)
+        for got, table, side in zip(grads, tables, sides):
+            want = reinforce(batch, rewards, table, side, 0.9)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), side

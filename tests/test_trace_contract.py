@@ -7,7 +7,8 @@ A name deleted or moved out of one of those places breaks `bench/run.py
 The tracer also reads arguments by position and results by attribute, and
 counts oracle inner iterations from the pattern of exact-gradient calls; a
 change to any of these would corrupt the per-layer metrics silently, so the
-last tests check them on real calls.
+last tests check them on real calls, and check that the steps the traced
+batches hold add up to each sampled optimizer's recorded step count.
 """
 
 import importlib
@@ -16,10 +17,11 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from panda.envs import build_env
 from panda.game import TabularPolicy
-from panda.optim import PandaConfig, run_oracle
+from panda.optim import PandaConfig, run_alternating, run_oracle, run_panda, run_pbrl
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -76,3 +78,19 @@ def test_oracle_inner_counts_match_a_traced_oracle_run():
     finally:
         uninstall()
     assert spans._oracle_inner_counts(tracer.spans) == [3, 3]
+
+
+@pytest.mark.parametrize("runner", [run_panda, run_pbrl, run_alternating])
+def test_traced_sample_batch_steps_add_up_to_the_recorded_env_steps(runner):
+    """The benchmark's traced step count, summed over `sample_batch` spans, is the run's own."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        res = tracer.run(runner, build_env("synthetic"),
+                         PandaConfig(outer_iters=2, inner_iters=3, seed=4))
+    finally:
+        uninstall()
+    steps = [s.info[1] for s in tracer.spans if s.name == "sampling.sample_batch"]
+    assert steps and sum(steps) == res.state.env_steps > 0
+    assert spans.round_metrics(tracer.spans, None)["sampling.env_steps"][0] == sum(steps)
