@@ -98,11 +98,11 @@ class RngStream:
         The coordinates are checked once per call.  The stream keeps one
         generator and sets its whole Philox state (counter, buffer) per row,
         which is cheaper than building a generator per trajectory or per
-        call: building one costs about 25 us, most of it the OS entropy a
-        bit generator draws before its key is replaced.  A numpy
-        Philox4x64-10 that gives the same bits, one block per row and
-        counter, was slower than a generator per call: 682 us against 120 us
-        at 16 rows of 10, and 1,063 us against 448 us at 64 rows of 61.
+        call: building one and reading its state took about 20 us, half of
+        it the OS entropy a bit generator draws before its key is replaced.
+        A numpy Philox4x64-10 that gives the same bits, one block per row
+        and counter, was slower than a generator per call: 682 us against
+        120 us at 16 rows of 10, and 1,063 us against 448 us at 64 rows of 61.
         """
         if not self._rows:
             gen = self.generator()

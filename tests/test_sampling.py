@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from panda.envs import build_env
 from panda.game import MarkovGame, RewardModel, TabularPolicy
 from panda.exact import exact_grads_truncated
 from panda.sampling import (
@@ -385,8 +386,6 @@ def test_rng_stream_rejects_coordinates_outside_their_fields():
 def _stacking_games():
     """Random games with 0-2 absorbing states and unequal action sets, the gapped game,
     and the pursuit grid."""
-    from panda.envs import build_env
-
     rng = np.random.default_rng(61)
     games = [random_game(170 + i, n_states=4, na=2, nb=3, n_absorbing=i) for i in range(3)]
     gapped = MarkovGame(gapped_transition(), np.array([0.4, 0.4, 0.2]),
