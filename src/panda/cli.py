@@ -33,7 +33,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +233,10 @@ def execute_runs(exp: ExperimentConfig) -> list[dict]:
     log.info("running %d jobs on %d workers", len(jobs), workers)
     if workers == 1:
         return [_run_one(*job) for job in jobs]
+    # imported here, not at the top: the pool modules add 1.5 MB to the resident memory
+    # of every process that imports this module, most of which never start a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, *zip(*jobs)))
 

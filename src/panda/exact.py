@@ -12,6 +12,10 @@ minimized in y and maximized in z over the simplices.  The module provides
     geometry, equivalently a damped softmax fixed-point iteration),
   * policy evaluation and the two Bellman operators (fixed-policy and
     optimality), both gamma-contractions,
+  * the linear solves (I - gamma P) x = b of policy evaluation and
+    visitation: an LU factorization of the folded (S, S) matrix on a dense
+    game, restarted GMRES on the successor lists on a matrix-free one
+    (`MarkovGame.matrix_free`), stopped at a max-norm residual bound,
   * Nash equilibrium computation by value iteration over the optimality
     operator,
   * single-player soft best responses by soft policy iteration on the
@@ -28,6 +32,7 @@ their value is identically zero and gradients place no weight on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +43,7 @@ from .game import (MarkovGame, RewardModel, effective_reward, effective_reward_g
 __all__ = [
     "SaddleSolveError",
     "ValueIterationError",
+    "LinearSolveError",
     "NashSolution",
     "BestResponse",
     "NIGradients",
@@ -73,6 +79,15 @@ class ValueIterationError(RuntimeError):
         super().__init__(f"value iteration stopped at residual {residual:.3e} after {sweeps} sweeps")
         self.residual = residual
         self.sweeps = sweeps
+
+
+class LinearSolveError(RuntimeError):
+    def __init__(self, residual: float, bound: float, restarts: int):
+        super().__init__(f"linear solve stopped at residual {residual:.3e} above its bound "
+                         f"{bound:.3e} after {restarts} restarts")
+        self.residual = residual
+        self.bound = bound
+        self.restarts = restarts
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
@@ -157,20 +172,20 @@ def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None):
 # --------------------------------------------------------------------------
 
 def _folded(game: MarkovGame, r_eff, y, z):
-    """Per-state reward/transition/regularizer under a fixed policy pair."""
+    """Per-state reward/chain/regularizer under a fixed policy pair."""
     r_yz = np.einsum("sab,sa,sb->s", r_eff, y, z)
-    p_yz = game.fold_pair(y, z)
+    chain = game.pair_chain(y, z)
     h = game.tau_min * _neg_entropy(y) - game.tau_max * _neg_entropy(z)
     h[game.absorbing] = 0.0
-    return r_yz, p_yz, h
+    return r_yz, chain, h
 
 
 def bellman_policy_operator(game: MarkovGame, model: RewardModel, policy_min, policy_max, v):
     """One application of the fixed-policy evaluation operator."""
     y, z = probs(policy_min), probs(policy_max)
     r_eff = effective_reward(game, model)
-    r_yz, p_yz, h = _folded(game, r_eff, y, z)
-    return r_yz + h + game.discount * p_yz @ v
+    r_yz, chain, h = _folded(game, r_eff, y, z)
+    return r_yz + h + game.discount * chain.step(v)
 
 
 def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
@@ -196,25 +211,96 @@ def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
     return tv, y, z
 
 
-def _eye_minus(p, gamma, out=None) -> np.ndarray:
-    """I - gamma * p in one array (`out=p` reuses p): the bits of np.eye(S) - gamma * p."""
-    a = np.multiply(p, gamma, out=out)
+def _eye_minus(p, gamma) -> np.ndarray:
+    """I - gamma * p in one array: the bits of np.eye(S) - gamma * p."""
+    a = np.multiply(p, gamma)
     np.subtract(0.0, a, out=a)
     a.flat[::len(a) + 1] += 1.0
     return a
 
 
-def _solve_value(game: MarkovGame, r_yz, p_yz, h) -> np.ndarray:
-    return np.linalg.solve(_eye_minus(p_yz, game.discount), r_yz + h)
+# Restarted GMRES: Krylov vectors per restart, and restarts before a solve gives up.
+_RESTART = 64
+_MAX_RESTARTS = 100
+# No solve asks for a residual below this many units in the last place of the larger of
+# |b| and |x|: computing the residual of a float solution rounds about that much.
+_FLOOR_ULPS = 16
 
 
-def _solve_visitation(game: MarkovGame, p_yz) -> np.ndarray:
-    a = _eye_minus(p_yz.T, game.discount)
-    return np.linalg.solve(a, (1.0 - game.discount) * game.init_dist)
+def _gmres(step, b, gamma, x, bound):
+    """Solve (I - gamma P) x = b by restarted GMRES (Saad & Schultz 1986), P as `step`.
+
+    `x` is the first guess (None for zeros).  Each restart recomputes the true
+    residual, so restarts also refine the solution.  The solve returns once
+    that residual's max-norm is at most `bound`, or `_FLOOR_ULPS` ulps of
+    max(|b|, |x|) when that is larger; within a restart, the GMRES estimate of
+    the residual's 2-norm ends the Arnoldi process at the same bound.  It
+    raises `LinearSolveError` when `_MAX_RESTARTS` restarts do not meet it.
+    """
+    x = np.zeros_like(b) if x is None else np.array(x, dtype=float)
+    basis = np.empty((_RESTART + 1, len(b)))
+    upper = np.zeros((_RESTART, _RESTART))  # R of the Hessenberg matrix's QR
+    b_max = np.abs(b).max()
+    for restart in range(_MAX_RESTARTS + 1):
+        r = b - (x - gamma * step(x))
+        res = np.abs(r).max()
+        target = max(bound, _FLOOR_ULPS * np.finfo(float).eps * max(b_max, np.abs(x).max()))
+        if res <= target:
+            return x
+        if restart == _MAX_RESTARTS:
+            raise LinearSolveError(float(res), float(target), restart)
+        g = [math.sqrt(r @ r)]  # the rotated right-hand side, beta e_1
+        basis[0] = r / g[0]
+        cs, sn = [], []
+        for j in range(_RESTART):
+            w = basis[j] - gamma * step(basis[j])
+            # classical Gram-Schmidt, applied twice to keep the basis orthogonal
+            h = np.einsum("js,s->j", basis[:j + 1], w)
+            w -= np.einsum("j,js->s", h, basis[:j + 1])
+            h2 = np.einsum("js,s->j", basis[:j + 1], w)
+            w -= np.einsum("j,js->s", h2, basis[:j + 1])
+            col = (h + h2).tolist()
+            norm = math.sqrt(w @ w)
+            for i in range(j):  # the earlier Givens rotations, then a new one
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            rho = math.hypot(col[j], norm)
+            cs.append(col[j] / rho)
+            sn.append(norm / rho)
+            col[j] = rho
+            upper[:j + 1, j] = col
+            g.append(-sn[j] * g[j])
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= target:  # also on breakdown, where norm is 0
+                break
+            basis[j + 1] = w / norm
+        k = len(cs)
+        x += np.linalg.solve(upper[:k, :k], g[:k]) @ basis[:k]
+
+
+def _solve(chain, b, gamma, x=None, bound=0.0, transpose=False) -> np.ndarray:
+    """Solve (I - gamma P) x = b, or (I - gamma P') x = b, for a chain's P.
+
+    On a `FoldedChain` by LU (`x` and `bound` unused); on a `ListChain` by
+    `_gmres` from the guess `x`, to the max-norm residual `bound`.
+    """
+    if chain.matrix is not None:
+        return np.linalg.solve(_eye_minus(chain.matrix.T if transpose else chain.matrix,
+                                          gamma), b)
+    return _gmres(chain.step_back if transpose else chain.step, b, gamma, x, bound)
+
+
+def _solve_value(game: MarkovGame, r_yz, chain, h, v0=None) -> np.ndarray:
+    return _solve(chain, r_yz + h, game.discount, v0)
+
+
+def _solve_visitation(game: MarkovGame, chain) -> np.ndarray:
+    return _solve(chain, (1.0 - game.discount) * game.init_dist, game.discount,
+                  transpose=True)
 
 
 def policy_eval(game: MarkovGame, model: RewardModel, policy_min, policy_max) -> np.ndarray:
-    """Regularized value of a fixed policy pair, by direct linear solve."""
+    """Regularized value of a fixed policy pair, by one linear solve."""
     y, z = probs(policy_min), probs(policy_max)
     return _solve_value(game, *_folded(game, effective_reward(game, model), y, z))
 
@@ -285,12 +371,16 @@ class BestResponse:
 def _soft_policy_iteration(r_fold, kernel, tau, absorbing, gamma, tol, v0=None):
     """Policy iteration for a single-player MDP regularized at temperature tau.
 
-    Alternates exact evaluation of the entropy-regularized policy (a linear
-    solve) with the softmax improvement step.  Being Newton's method on the
-    soft Bellman fixed point, it converges in a handful of rounds regardless
-    of the discount.  It stops once the log-sum-exp backup moves the values
-    by at most tol*(1-gamma)/gamma, or fails after 200 rounds.  `kernel` is
-    the MDP's `ResponseKernel`.
+    Alternates exact evaluation of the entropy-regularized policy (`_solve`,
+    from the previous round's values) with the softmax improvement step.
+    Being Newton's method on the soft Bellman fixed point, it converges in a
+    handful of rounds regardless of the discount.  It stops once the
+    log-sum-exp backup moves the values by at most thr = tol*(1-gamma)/gamma,
+    or fails after 200 rounds.  Near the fixed point that move is the
+    evaluation's residual plus the improvement step's gain, so a GMRES
+    evaluation is solved to a residual of thr/8 (tol/8 when that is smaller,
+    as at gamma = 0, where thr is infinite and the values are the residual's
+    only check).  `kernel` is the MDP's `ResponseKernel` or `ListResponse`.
     """
     s, k = r_fold.shape
     thr = tol * (1.0 - gamma) / gamma if gamma > 0 else np.inf
@@ -301,10 +391,8 @@ def _soft_policy_iteration(r_fold, kernel, tau, absorbing, gamma, tol, v0=None):
     res = np.inf
     for rounds in range(1, 201):
         c = np.einsum("sk,sk->s", pol, r_fold) - tau * _neg_entropy(pol)
-        p_pol = kernel.fold(pol)
         c[absorbing] = 0.0
-        p_pol[absorbing] = 0.0
-        v = np.linalg.solve(_eye_minus(p_pol, gamma, out=p_pol), c)
+        v = _solve(kernel.chain(pol), c, gamma, v, min(thr, tol) / 8)
         qf = r_fold + gamma * kernel.backup(v)
         m = qf.max(axis=1)
         tv = tau * (m / tau + np.log(np.exp(qf / tau - m[:, None] / tau).sum(axis=1)))
@@ -356,7 +444,7 @@ def ni_gap(game: MarkovGame, model: RewardModel, policy_min, policy_max, tol=1e-
 
 def visitation(game: MarkovGame, policy_min, policy_max) -> np.ndarray:
     """Discounted state visitation d = (1-gamma) * (I - gamma*P')^{-1} rho."""
-    return _solve_visitation(game, game.fold_pair(probs(policy_min), probs(policy_max)))
+    return _solve_visitation(game, game.pair_chain(probs(policy_min), probs(policy_max)))
 
 
 def _regularized_stage(game, r_eff, y, z):
@@ -372,16 +460,16 @@ def _score_rows(pi, avg_w, weight):
     return weight[:, None] * pi * (avg_w - inner)
 
 
-def _pair_terms(game, r_eff, y, z):
+def _pair_terms(game, r_eff, y, z, v0=None):
     """Visitation weights d/(1-gamma) and continuation payoffs w of a policy pair.
 
     w(s,a,b) is the regularized payoff plus the discounted continuation,
     zero on absorbing states: the mean of the sampled regularized
-    reward-to-go given (s, a, b).
+    reward-to-go given (s, a, b).  `v0` guesses the pair's values.
     """
-    r_yz, p_yz, h = _folded(game, r_eff, y, z)
-    v = _solve_value(game, r_yz, p_yz, h)
-    d = _solve_visitation(game, p_yz)
+    r_yz, chain, h = _folded(game, r_eff, y, z)
+    v = _solve_value(game, r_yz, chain, h, v0)
+    d = _solve_visitation(game, chain)
     w = _regularized_stage(game, r_eff, y, z) + game.discount * game.expect(v)
     w[game.absorbing] = 0.0
     return d / (1.0 - game.discount), w
@@ -427,13 +515,13 @@ def finite_horizon_value(game: MarkovGame, stage, y, z, horizon, gamma) -> float
 
     `stage` has shape (S, A, B); `gamma` need not be the game's discount.
     Absorbing states end the episode and add nothing.  The recursion runs on
-    the chain folded under the policy pair, one (S, S) mat-vec per step.
+    the chain of the policy pair, one `step` per time step.
     """
-    p_yz = game.fold_pair(y, z)
+    chain = game.pair_chain(y, z)
     u = np.einsum("sab,sa,sb->s", stage, y, z)
     v = np.zeros(game.n_states)
     for _ in range(horizon):
-        v = u + gamma * (p_yz @ v)
+        v = u + gamma * chain.step(v)
         v[game.absorbing] = 0.0
     return float(game.init_dist @ v)
 
@@ -442,30 +530,31 @@ def finite_horizon_grad(game: MarkovGame, stage, y, z, horizon, gamma):
     """Gradients of `finite_horizon_value` in both players' softmax logits.
 
     A backward recursion builds the step-t action values
-    q_t = stage + gamma * P v_{t+1} (zero on absorbing states); a forward pass
-    then weights each step's score-function rows by gamma^t times the
-    step-t state distribution p_t.  Returns (grad_min, grad_max, occupancy),
+    q_t = stage + gamma * P v_{t+1} (zero on absorbing states) and keeps only
+    their contractions with each opponent's policy; a forward pass then
+    weights each step's score-function rows by gamma^t times the step-t
+    state distribution p_t.  Returns (grad_min, grad_max, occupancy),
     occupancy = sum_t gamma^t p_t weighting the gradient in stage parameters.
     """
-    p_yz = game.fold_pair(y, z)
     v_next = np.zeros(game.n_states)
-    qs = []
+    qs = []  # per step, E_b q_t (S, A) and E_a q_t (S, B)
     for _ in range(horizon):
         q = stage + gamma * game.expect(v_next)
         q[game.absorbing] = 0.0
         v_next = np.einsum("sab,sa,sb->s", q, y, z)
-        qs.append(q)
+        qs.append((np.einsum("sab,sb->sa", q, z), np.einsum("sab,sa->sb", q, y)))
 
+    chain = game.pair_chain(y, z)
     gmin = np.zeros_like(y)
     gmax = np.zeros_like(z)
     occupancy = np.zeros(game.n_states)
     pt = game.init_dist
-    for t, q in enumerate(reversed(qs)):  # q holds the step-t action values
+    for t, (q_min, q_max) in enumerate(reversed(qs)):  # the step-t action values
         sc = (gamma ** t) * pt
-        gmin += _score_rows(y, np.einsum("sab,sb->sa", q, z), sc)
-        gmax += _score_rows(z, np.einsum("sab,sa->sb", q, y), sc)
+        gmin += _score_rows(y, q_min, sc)
+        gmax += _score_rows(z, q_max, sc)
         occupancy += sc
-        pt = p_yz.T @ pt
+        pt = chain.step_back(pt)
     return gmin, gmax, occupancy
 
 
@@ -505,10 +594,11 @@ def ni_gradients(game: MarkovGame, model: RewardModel, policy_min, policy_max,
     y, z = probs(policy_min), probs(policy_max)
     bmax = best_response(game, model, y, "max", tol=tol, v0=v0_max)
     bmin = best_response(game, model, z, "min", tol=tol, v0=v0_min)
-    # one value and one visitation solve per pair serve both of its gradients
+    # one value and one visitation solve per pair serve both of its gradients; each
+    # pair's values are its responder's soft values, with the sign of J
     r_eff = effective_reward(game, model)
-    d_max, w_max = _pair_terms(game, r_eff, y, bmax.policy)
-    d_min, w_min = _pair_terms(game, r_eff, bmin.policy, z)
+    d_max, w_max = _pair_terms(game, r_eff, y, bmax.policy, bmax.soft_v)
+    d_min, w_min = _pair_terms(game, r_eff, bmin.policy, z, -bmin.soft_v)
     g = effective_reward_grad_x(game, model)
     grad_min = _grad_policy(y, bmax.policy, d_max, w_max, "min")
     grad_max = -_grad_policy(bmin.policy, z, d_min, w_min, "max")

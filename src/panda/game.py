@@ -19,6 +19,7 @@ import math
 import numbers
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,9 @@ __all__ = [
     "RewardModel",
     "TabularPolicy",
     "ResponseKernel",
+    "ListResponse",
+    "FoldedChain",
+    "ListChain",
     "effective_reward",
     "effective_reward_grad_x",
     "softmax",
@@ -36,8 +40,6 @@ __all__ = [
 
 # Transition rows may deviate from probability simplices by at most this much.
 ROW_SUM_TOL = 1e-9
-# Entries in one dense block of a response kernel: 512 KB, the grid's whole kernel 15.7 MB.
-BLOCK_ENTRIES = 1 << 16
 
 
 def _is_real(v) -> bool:
@@ -70,6 +72,13 @@ class MarkovGame:
     entry can never land on an unreachable state.  The constructor takes a
     dense (S, A, B, S) tensor; `from_successors` takes the lists themselves,
     and `transition` rebuilds the dense tensor on demand.
+
+    A game whose lists are short against its state count is *matrix-free*:
+    `pair_chain` and `response_kernel` then apply the lists directly, where
+    a dense game folds them into (S, S) and (S, K, S) arrays.  The rule is
+    A * B * K * 8 <= S, so a state's list entries cost at most an eighth of
+    a dense row: the 626-state grid (A = B = 5, K = 1) is matrix-free, the
+    5-state synthetic game and its designer MDP (K = 5) are not.
 
     Attributes:
         succ, succ_prob: successor lists, shape (S, A, B, K).
@@ -116,7 +125,7 @@ class MarkovGame:
         if self.succ.ndim != 4 or self.succ_prob.shape != self.succ.shape:
             raise ValueError(f"successor lists must share one (S,A,B,K) shape, got "
                              f"{self.succ.shape} and {self.succ_prob.shape}")
-        S, A, B, _ = self.succ.shape
+        S, A, B, K = self.succ.shape
         if np.any(self.succ < 0) or np.any(self.succ >= S):
             raise ValueError("successor index out of range")
         if self.init_dist.shape != (S,) or self.absorbing.shape != (S,):
@@ -138,10 +147,7 @@ class MarkovGame:
         for state in np.flatnonzero(self.absorbing):
             if np.max(np.abs(stay[state] - 1.0)) > ROW_SUM_TOL:
                 raise ValueError(f"absorbing state {state} does not self-loop")
-        # flat targets of `fold_pair` and of each player's kernel, in (s, a, b, k) order
-        self._pair_index = (s * S + self.succ).ravel()
-        self._max_kernel_index = ((s * B + np.arange(B)[:, None]) * S + self.succ).ravel()
-        self._min_kernel_index = ((s * A + np.arange(A)[:, None, None]) * S + self.succ).ravel()
+        self.matrix_free = A * B * K * 8 <= S
 
     @property
     def n_states(self) -> int:
@@ -166,51 +172,126 @@ class MarkovGame:
         """E[v(s') | s, a, b], shape (S, A, B)."""
         return np.einsum("sabk,sabk->sab", self.succ_prob, v[self.succ])
 
+    @cached_property
+    def _fold_index(self):
+        """Flat targets of `fold_pair` and of the max and the min player's kernels, in
+        (s, a, b, k) order; built on first use, as only dense games fold."""
+        S, A, B, _ = self.succ.shape
+        s = np.arange(S)[:, None, None, None]
+        return ((s * S + self.succ).ravel(),
+                ((s * B + np.arange(B)[:, None]) * S + self.succ).ravel(),
+                ((s * A + np.arange(A)[:, None, None]) * S + self.succ).ravel())
+
     def fold_pair(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """State-to-state kernel under the policy pair (y, z), shape (S, S)."""
-        w = (self.succ_prob * y[:, :, None, None]) * z[:, None, :, None]
         S = self.n_states
-        return np.bincount(self._pair_index, weights=w.ravel(), minlength=S * S).reshape(S, S)
+        return np.bincount(self._fold_index[0], weights=self._pair_weights(y, z).ravel(),
+                           minlength=S * S).reshape(S, S)
 
-    def response_kernel(self, fixed, side) -> "ResponseKernel":
-        """Kernel of `side`'s MDP, over its own actions, against the opponent's policy `fixed`."""
+    def _pair_weights(self, y, z):
+        return (self.succ_prob * y[:, :, None, None]) * z[:, None, :, None]
+
+    def pair_chain(self, y: np.ndarray, z: np.ndarray):
+        """The state chain under the policy pair (y, z): a `ListChain` on a matrix-free
+        game, else a `FoldedChain` over `fold_pair`."""
+        if self.matrix_free:
+            return ListChain(self.succ, self._pair_weights(y, z))
+        return FoldedChain(self.fold_pair(y, z))
+
+    def response_kernel(self, fixed, side):
+        """`side`'s MDP, over its own actions, against the opponent's policy `fixed`:
+        a `ListResponse` on a matrix-free game, else a `ResponseKernel`."""
         if side == "max":
-            w, index, k = fixed[:, :, None, None], self._max_kernel_index, self.n_actions_max
+            w, i, k = fixed[:, :, None, None], 1, self.n_actions_max
         elif side == "min":
-            w, index, k = fixed[:, None, :, None], self._min_kernel_index, self.n_actions_min
+            w, i, k = fixed[:, None, :, None], 2, self.n_actions_min
         else:
             raise ValueError(f"side must be 'min' or 'max', got {side!r}")
-        return ResponseKernel(index, (self.succ_prob * w).ravel(), (self.n_states, k))
+        if self.matrix_free:
+            return ListResponse(self.succ, self.succ_prob * w, side, self.absorbing)
+        return ResponseKernel(self._fold_index[i], (self.succ_prob * w).ravel(),
+                              (self.n_states, k), self.absorbing)
+
+
+class FoldedChain:
+    """A state chain as its (S, S) matrix."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def step(self, v: np.ndarray) -> np.ndarray:
+        """P v: the expectation of v one step ahead."""
+        return self.matrix @ v
+
+    def step_back(self, d: np.ndarray) -> np.ndarray:
+        """P' d: the state distribution d one step later."""
+        return self.matrix.T @ d
+
+
+class ListChain:
+    """A state chain as weighted successor lists, without its (S, S) matrix: state s
+    moves to succ[s, ...] with the weights at the same places, shape (S, A, B, K)."""
+
+    matrix = None
+
+    def __init__(self, succ, weights):
+        S = len(succ)
+        self.succ, self.weights = succ.reshape(S, -1), weights.reshape(S, -1)
+
+    def step(self, v: np.ndarray) -> np.ndarray:
+        """P v: the expectation of v one step ahead."""
+        return np.einsum("sj,sj->s", self.weights, v[self.succ])
+
+    def step_back(self, d: np.ndarray) -> np.ndarray:
+        """P' d: the state distribution d one step later, one `bincount` over the lists."""
+        return np.bincount(self.succ.ravel(), weights=(self.weights * d[:, None]).ravel(),
+                           minlength=len(d))
 
 
 class ResponseKernel:
-    """One player's (S, K, S) kernel against a fixed opponent policy, K its action count,
-    as successor-list entries and their flat (s, k, s') targets in (s, a, b, j) order.
-    `bincount` rebuilds it in blocks of states of at most `BLOCK_ENTRIES` entries; per
-    state a block holds the dense kernel's sums, so the einsums over it keep their bits."""
+    """One player's dense (S, K, S) kernel against a fixed opponent policy, K its action
+    count, built by one `bincount` of the successor-list entries over their flat
+    (s, k, s') targets."""
 
-    def __init__(self, index, weights, shape):
-        self.index, self.weights, (self.n_states, self.n_actions) = index, weights, shape
-
-    def _blocks(self):
-        """Each block's first state and its (rows, K, S) slice of the dense kernel."""
-        S, K = self.n_states, self.n_actions
-        rows, per = max(1, BLOCK_ENTRIES // (K * S)), len(self.index) // S
-        for s0 in range(0, S, rows):
-            lo, hi, n = s0 * per, min(s0 + rows, S) * per, min(rows, S - s0)
-            yield s0, np.bincount(self.index[lo:hi] - s0 * K * S, weights=self.weights[lo:hi],
-                                  minlength=n * K * S).reshape(n, K, S)
+    def __init__(self, index, weights, shape, absorbing):
+        S, K = shape
+        self.kernel = np.bincount(index, weights=weights, minlength=S * K * S).reshape(S, K, S)
+        self.absorbing = absorbing
 
     def backup(self, v: np.ndarray) -> np.ndarray:
         """E[v(s') | s, k], shape (S, K)."""
-        return np.concatenate([np.einsum("skn,n->sk", p, v) for _, p in self._blocks()])
+        return np.einsum("skn,n->sk", self.kernel, v)
 
     def fold(self, pol: np.ndarray) -> np.ndarray:
         """State-to-state kernel under the responder's policy pol (S, K), shape (S, S)."""
-        out = np.empty((self.n_states, self.n_states))
-        for s0, p in self._blocks():
-            out[s0:s0 + len(p)] = np.einsum("skn,sk->sn", p, pol[s0:s0 + len(p)])
-        return out
+        return np.einsum("skn,sk->sn", self.kernel, pol)
+
+    def chain(self, pol: np.ndarray) -> FoldedChain:
+        """The chain under pol, stopped at absorbing states (their rows zero)."""
+        p = self.fold(pol)
+        p[self.absorbing] = 0.0
+        return FoldedChain(p)
+
+
+class ListResponse:
+    """`ResponseKernel`'s interface on the successor lists: `weights` (S, A, B, K) are the
+    transition probabilities times the fixed opponent's policy."""
+
+    def __init__(self, succ, weights, side, absorbing):
+        self.succ, self.weights, self.side = succ, weights, side
+        self.absorbing = absorbing
+
+    def backup(self, v: np.ndarray) -> np.ndarray:
+        """E[v(s') | s, k], shape (S, K)."""
+        return np.einsum("sabk,sabk->sb" if self.side == "max" else "sabk,sabk->sa",
+                         self.weights, v[self.succ])
+
+    def chain(self, pol: np.ndarray) -> ListChain:
+        """The chain under pol, stopped at absorbing states (their rows zero)."""
+        w = self.weights * (pol[:, None, :, None] if self.side == "max"
+                            else pol[:, :, None, None])
+        w[self.absorbing] = 0.0
+        return ListChain(self.succ, w)
 
 
 @dataclass
@@ -264,7 +345,8 @@ class TabularPolicy:
 
     @classmethod
     def uniform(cls, n_states: int, n_actions: int) -> "TabularPolicy":
-        return cls(np.zeros((n_states, n_actions)))
+        """All-zero logits, as a read-only view of one zero: no per-state array."""
+        return cls(np.broadcast_to(0.0, (n_states, n_actions)))
 
     def probs_all(self) -> np.ndarray:
         return softmax(self.logits)

@@ -200,14 +200,18 @@ class RunResult:
 # --------------------------------------------------------------------------
 
 def init_state(env: EnvBundle) -> OptimizerState:
-    """Uniform policies, incentives at the environment's initial point."""
+    """Uniform policies, incentives at the environment's initial point.
+
+    The shadows start as the policy objects themselves: a step replaces a
+    policy and never writes into one, so nothing is copied.
+    """
     g = env.game
     pmin = TabularPolicy.uniform(g.n_states, g.n_actions_min)
     pmax = TabularPolicy.uniform(g.n_states, g.n_actions_max)
     return OptimizerState(
         x=env.model.incentive_params.copy(),
         policy_min=pmin, policy_max=pmax,
-        shadow_min=pmin.copy(), shadow_max=pmax.copy(),
+        shadow_min=pmin, shadow_max=pmax,
     )
 
 

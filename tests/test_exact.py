@@ -14,7 +14,9 @@ import pytest
 from panda.envs import build_env
 from panda.game import (MarkovGame, RewardModel, TabularPolicy, effective_reward,
                         effective_reward_grad_x)
+from panda import exact
 from panda.exact import (
+    LinearSolveError,
     SaddleSolveError,
     ValueIterationError,
     bellman_policy_operator,
@@ -22,6 +24,8 @@ from panda.exact import (
     exact_grad_policy,
     exact_grad_x,
     exact_grads_truncated,
+    finite_horizon_grad,
+    finite_horizon_value,
     j_value,
     ni_gap,
     ni_gradients,
@@ -618,21 +622,103 @@ def test_pl_inequality_for_value_function():
         assert 0.5 * np.sum(gmax ** 2) >= mu * (j1 - j) - 1e-9
 
 
+# --- the dense and matrix-free paths --------------------------------------
+
+def sparse_game(seed, n_states, na, nb, k, n_absorbing, gamma=0.95):
+    """Random game on padded successor lists: k distinct successors per (s, a, b)."""
+    rng = np.random.default_rng(seed)
+    succ = np.sort(np.array([rng.choice(n_states, size=k, replace=False)
+                             for _ in range(n_states * na * nb)]), axis=1)
+    prob = rng.uniform(0.05, 1.0, size=succ.shape)
+    succ, prob = succ.reshape(n_states, na, nb, k), prob.reshape(n_states, na, nb, k)
+    absorbing = np.arange(n_states) >= n_states - n_absorbing
+    succ[absorbing], prob[absorbing] = np.arange(n_states)[absorbing, None, None, None], 0.0
+    prob[absorbing, :, :, 0] = 1.0
+    prob /= prob.sum(axis=3, keepdims=True)
+    rho = np.where(absorbing, 0.0, rng.uniform(0.2, 1.0, size=n_states))
+    game = MarkovGame.from_successors(succ, prob, rho / rho.sum(), absorbing, gamma, 0.1, 0.2)
+    shape = (n_states, na, nb)
+    model = RewardModel(rng.uniform(-1.0, 1.0, size=shape), rng.normal(size=shape), 1.0)
+    return game, model
+
+
+def _grid():
+    env = build_env("sentinel")
+    return env.game, env.model
+
+
+def _path_games():
+    """Matrix-free games: the grid; random ones with absorbing states, K = 1 and K = 2,
+    and one at discount 0, where policy iteration's stopping test checks nothing."""
+    yield pytest.param(_grid, id="grid")
+    yield pytest.param(lambda: sparse_game(5, 48, 2, 3, 1, 3), id="random-k1")
+    yield pytest.param(lambda: sparse_game(6, 64, 2, 2, 2, 2), id="random-k2")
+    yield pytest.param(lambda: sparse_game(7, 48, 2, 3, 1, 3, gamma=0.0), id="random-gamma0")
+
+
+def _path_results(game, model, y, z, stage):
+    bmax, bmin = best_response(game, model, y, "max"), best_response(game, model, z, "min")
+    ni = ni_gradients(game, model, y, z)
+    out = [bmax.j_value, bmax.policy, bmax.soft_v, bmin.j_value, bmin.policy, bmin.soft_v,
+           ni.gap, ni.grad_min, ni.grad_max, ni.grad_x,
+           exact_grad_policy(game, model, y, z, "min"),
+           exact_grad_policy(game, model, y, z, "max"),
+           exact_grad_x(game, model, y, z), visitation(game, y, z)]
+    for gamma in (game.discount, 1.0):
+        out.append(finite_horizon_value(game, stage, y, z, 20, gamma))
+        out.extend(finite_horizon_grad(game, stage, y, z, 20, gamma))
+    return out
+
+
+@pytest.mark.parametrize("build", _path_games())
+def test_dense_and_matrix_free_paths_agree(build):
+    """The same quantities by LU on folded matrices and by GMRES on the successor
+    lists, at uniform and at sharp policies, agree to 1e-11 of each one's scale."""
+    game, model = build()
+    assert game.matrix_free
+    S, A, B = game.n_states, game.n_actions_min, game.n_actions_max
+    rng = np.random.default_rng(31)
+    stage = rng.uniform(size=(S, A, B))
+    for scale in (0.0, 3.0):
+        y = TabularPolicy(scale * rng.normal(size=(S, A))).probs_all()
+        z = TabularPolicy(scale * rng.normal(size=(S, B))).probs_all()
+        results = {}
+        for matrix_free in (False, True):
+            game.matrix_free = matrix_free
+            results[matrix_free] = _path_results(game, model, y, z, stage)
+        for i, (lists, dense) in enumerate(zip(results[True], results[False], strict=True)):
+            lists, dense = np.asarray(lists), np.asarray(dense)
+            assert lists.shape == dense.shape
+            assert np.abs(lists - dense).max() <= 1e-11 * np.abs(dense).max(), (scale, i)
+
+
+def test_matrix_free_solve_raises_when_it_misses_its_bound(monkeypatch):
+    # three restarts of two Krylov vectors cannot solve a policy evaluation on these
+    # lists; the best response must fail loudly rather than go on with a rough solve
+    game, model = sparse_game(5, 48, 2, 3, 1, 3)
+    monkeypatch.setattr(exact, "_RESTART", 2)
+    monkeypatch.setattr(exact, "_MAX_RESTARTS", 3)
+    with pytest.raises(LinearSolveError, match="above its bound") as err:
+        best_response(game, model, TabularPolicy.uniform(48, 2), "max")
+    assert err.value.residual > err.value.bound
+    assert err.value.restarts == 3
+
+
 def test_grid_exact_evaluation_allocates_no_transition_sized_array():
-    """One best response and one NI-gradient evaluation on the 626-state grid each
-    allocate under 14 MB at their peak.  A dense (S, K, S) kernel is 15.7 MB there;
-    the (S, S) matrices and the solver's copy of one come to about 7-10 MB."""
+    """A best response, an NI-gradient evaluation and the upper-level gradient on the
+    626-state grid each allocate less at their peak than one (S, S) float array."""
     env = build_env("sentinel")
     game, model = env.game, env.model
     y = TabularPolicy.uniform(game.n_states, game.n_actions_min).probs_all()
     z = TabularPolicy.uniform(game.n_states, game.n_actions_max).probs_all()
     effective_reward(game, model)  # the reward table is built once per model, before the calls
     for call in (lambda: best_response(game, model, y, "max"),
-                 lambda: ni_gradients(game, model, y, z)):
+                 lambda: ni_gradients(game, model, y, z),
+                 lambda: env.ul.grad_policies_exact(model, y, z)):
         tracemalloc.start()
         try:
             call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14e6
+        assert peak < game.n_states ** 2 * 8

@@ -3,9 +3,7 @@ import pytest
 
 from panda.envs import build_env
 from panda.exact import _eye_minus
-from panda import game as game_module
 from panda.game import (
-    BLOCK_ENTRIES,
     MarkovGame,
     RewardModel,
     TabularPolicy,
@@ -197,23 +195,19 @@ def _same_bits(a, b):
 
 
 def _kernel_games():
-    """(game builder, block sizes); every split but one a block leaves a short last block."""
-    yield pytest.param(lambda: build_env("synthetic").game, (BLOCK_ENTRIES, 3 * 3 * 5),
-                       id="synthetic")
-    # both grid kernels have K = 5: 20 states a block by default (626 = 31 * 20 + 6), or 7
-    yield pytest.param(lambda: build_env("sentinel").game, (BLOCK_ENTRIES, 7 * 5 * 626, 1),
-                       id="sentinel")
-    yield pytest.param(_gapped_game, (BLOCK_ENTRIES, 2 * 2 * 3, 1), id="gapped")
-    for seed in range(4):  # 4 states a block for the max player's kernel, 3 for the min one's
+    """Builders of dense games: the grid is matrix-free and has no `ResponseKernel`."""
+    yield pytest.param(lambda: build_env("synthetic").game, id="synthetic")
+    yield pytest.param(_gapped_game, id="gapped")
+    for seed in range(4):
         yield pytest.param(lambda seed=seed: random_game(seed, n_states=7, na=3, nb=2,
-                                                         n_absorbing=2)[0],
-                           (BLOCK_ENTRIES, 3 * 3 * 7, 1), id=f"random-{seed}")
+                                                         n_absorbing=2)[0], id=f"random-{seed}")
 
 
-@pytest.mark.parametrize("build,blocks", _kernel_games())
-def test_response_kernel_gives_the_dense_kernels_bits(build, blocks, monkeypatch):
+@pytest.mark.parametrize("build", _kernel_games())
+def test_response_kernel_gives_the_dense_kernels_bits(build):
     rng = np.random.default_rng(17)
     game = build()
+    assert not game.matrix_free
     S = game.n_states
     for trial in range(3):
         y = TabularPolicy(3.0 * rng.normal(size=(S, game.n_actions_min))).probs_all()
@@ -225,19 +219,24 @@ def test_response_kernel_gives_the_dense_kernels_bits(build, blocks, monkeypatch
         for fixed, pol, side in ((y, z, "max"), (z, y, "min")):
             dense = _dense_response_kernel(game, fixed, side)
             p_pol = np.einsum("skn,sk->sn", dense, pol)
-            for block_entries in blocks:
-                monkeypatch.setattr(game_module, "BLOCK_ENTRIES", block_entries)
-                kernel = game.response_kernel(fixed, side)
-                assert _same_bits(kernel.backup(v), np.einsum("skn,n->sk", dense, v))
-                assert _same_bits(kernel.backup(-v), np.einsum("skn,n->sk", dense, -v))
-                assert _same_bits(kernel.fold(pol), p_pol)
-        # every I - gamma P system matrix: a response fold in place, a pair fold, its transpose
+            kernel = game.response_kernel(fixed, side)
+            assert _same_bits(kernel.backup(v), np.einsum("skn,n->sk", dense, v))
+            assert _same_bits(kernel.backup(-v), np.einsum("skn,n->sk", dense, -v))
+            assert _same_bits(kernel.fold(pol), p_pol)
+            stopped = p_pol.copy()
+            stopped[game.absorbing] = 0.0
+            assert _same_bits(kernel.chain(pol).matrix, stopped)
+        # every I - gamma P system matrix: a response fold, a pair fold, its transpose
         gamma = game.discount
         for p in (p_pol, game.fold_pair(y, z), game.fold_pair(y, z).T):
             assert _same_bits(_eye_minus(p, gamma), np.eye(S) - gamma * p)
-        p = p_pol.copy()
-        assert _eye_minus(p, gamma, out=p) is p
-        assert _same_bits(p, np.eye(S) - gamma * p_pol)
+        assert _same_bits(game.pair_chain(y, z).matrix, game.fold_pair(y, z))
+
+
+def test_only_the_grid_is_matrix_free():
+    synthetic = build_env("synthetic")
+    assert not synthetic.game.matrix_free and not synthetic.ul.mdp.matrix_free
+    assert build_env("sentinel").game.matrix_free
 
 
 def test_response_kernel_rejects_unknown_side():

@@ -157,11 +157,11 @@ print(json.dumps({"rows": [(r.env_steps, r.ul_objective, r.ni_gap, r.grad_norm)
 """
 
 
-def _run_on_one_blas_thread(code: str) -> dict:
-    """Run `code` in a fresh interpreter whose BLAS uses one thread; parse its JSON output."""
+def _run_on_blas_threads(code: str, threads: int) -> dict:
+    """Run `code` in a fresh interpreter whose BLAS uses `threads` threads; parse its JSON output."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(panda.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
+    n = str(threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
@@ -176,10 +176,10 @@ def test_outputs_pinned_across_versions():
     policy iteration, sampling, the REINFORCE loop) shows up here even though
     reruns of one version stay identical.  The synthetic ul_objective is not
     pinned: its last bits differ from those of the version the literals come
-    from.  The sentinel run pins the successor-list kernels and the grid
-    sampler, ul_objective included.  Its 626x626 LU solves round differently
-    with different BLAS thread counts, so it runs in a subprocess on one BLAS
-    thread; the synthetic systems are too small for BLAS to split.
+    from.  The sentinel run pins the matrix-free exact layer and the grid
+    sampler, ul_objective included.  It runs in a subprocess on one BLAS
+    thread, and `test_grid_run_does_not_depend_on_the_blas_thread_count`
+    checks that two threads give the same output.
     """
     env = build_synthetic(SyntheticSpec(seed=0))
     oracle = run_oracle(env, PandaConfig(outer_iters=2, eta_x=3.0, eta_theta=1.0,
@@ -200,11 +200,16 @@ def test_outputs_pinned_across_versions():
         assert [(r.env_steps, r.ni_gap, r.grad_norm) for r in res.records] == rows, name
         assert _state_digest(res.state) == digest, name
 
-    grid = _run_on_one_blas_thread(_GRID_RUN)
+    grid = _run_on_blas_threads(_GRID_RUN, 1)
     assert [tuple(row) for row in grid["rows"]] == [
-        (822, 6.123835740127621, 17.47564824419193, 1.0824955099813907),
-        (1733, 6.003298260565904, 17.47875095785694, 1.0473653855170024)]
+        (822, 6.12383574012762, 17.475648244191973, 1.082495509981387),
+        (1733, 6.003298260565904, 17.47875095785675, 1.0473653855170046)]
     assert grid["digest"] == "7bbc057abb06bd5affdf4a05dbb8f8919652ab6a0a5f800124edd2e74ed6db25"
+
+
+def test_grid_run_does_not_depend_on_the_blas_thread_count():
+    """The grid run gives the same records and state at one and at two BLAS threads."""
+    assert _run_on_blas_threads(_GRID_RUN, 1) == _run_on_blas_threads(_GRID_RUN, 2)
 
 
 def test_seed_changes_the_run():
