@@ -187,10 +187,10 @@ def estimator_suite() -> list[CheckResult]:
     sums = {}
     sq_sums = {}
     for rep in range(reps):
-        trajs = sample_batch(game, model, pmin, pmax, batch, horizon, stream,
-                             purpose=0, outer=rep)
+        trajs = sample_batch(game, model, [pmin], [pmax], batch, horizon, stream,
+                             [0], outer=rep)
         for key in ("min", "max", "x"):
-            flat = estimate_gradients(game, model, pmin, pmax, trajs, key).ravel()
+            flat = estimate_gradients(game, model, [pmin], [pmax], trajs, [key])[0].ravel()
             sums[key] = sums.get(key, 0.0) + flat
             sq_sums[key] = sq_sums.get(key, 0.0) + flat * flat
     exact = dict(zip(("min", "max", "x"),
@@ -210,9 +210,9 @@ def estimator_suite() -> list[CheckResult]:
     for b_idx, b in enumerate((4, 16, 64)):
         vals = np.empty(10_000)
         for rep in range(10_000):
-            trajs = sample_batch(game, model, pmin, pmax, b, 10, stream,
-                                 purpose=10 + b_idx, outer=rep)
-            g = estimate_gradients(game, model, pmin, pmax, trajs, "min")
+            trajs = sample_batch(game, model, [pmin], [pmax], b, 10, stream,
+                                 [10 + b_idx], outer=rep)
+            g, = estimate_gradients(game, model, [pmin], [pmax], trajs, ["min"])
             vals[rep] = proj @ g.ravel()
         scaled[b] = b * vals.var(ddof=1)
     ratios = [scaled[4] / scaled[16], scaled[16] / scaled[64],

@@ -16,7 +16,11 @@ Subcommands
     Run a property suite and report one line per property.
 
 Exit codes: 0 success, 1 property-check failure, 2 configuration or usage
-error, 3 a run aborted on a non-finite gradient (partial CSV still written).
+error, 3 a run aborted, on a non-finite gradient or on an exact solver that
+missed its tolerance (`exact.SolverError`: `LinearSolveError`,
+`ValueIterationError`, `SaddleSolveError`).  An aborted run still writes its
+partial CSV, the other runs their full ones, and the manifest records the
+error of each aborted run.
 
 Runs are independent and execute on a process pool; the ``PANDA_THREADS``
 environment variable caps the worker count.  CSV contents are byte-stable
@@ -39,7 +43,7 @@ import numpy as np
 
 from .checks import run_suite
 from .envs import ENV_SPECS, build_env
-from .optim import OPTIMIZERS, NonFiniteGradientError, OracleOptions, PandaConfig
+from .optim import OPTIMIZERS, RUN_ABORTS, OracleOptions, PandaConfig
 from .sampling import RngStream
 
 log = logging.getLogger("panda")
@@ -197,7 +201,7 @@ def _run_one(exp: ExperimentConfig, optimizer: str, seed: int) -> dict:
     error = None
     try:
         result = OPTIMIZERS[optimizer](env, cfg, **options)
-    except NonFiniteGradientError as e:
+    except RUN_ABORTS as e:
         result = e.partial
         error = str(e)
     wall = time.perf_counter() - t0

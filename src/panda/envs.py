@@ -101,8 +101,8 @@ class SyntheticUL:
         return np.zeros_like(model.incentive_params)
 
     def _sample(self, policy_min, policy_max, batch, stream, purpose, outer, inner):
-        return sample_batch(self.mdp, self.reward_id, policy_min, policy_max,
-                            batch, self.horizon, stream, purpose, outer, inner)
+        return sample_batch(self.mdp, self.reward_id, [policy_min], [policy_max],
+                            batch, self.horizon, stream, [purpose], outer, inner)
 
     def value_estimate(self, model, policy_min, policy_max, batch,
                        stream: RngStream, purpose=0, outer=0, inner=0):
@@ -246,14 +246,14 @@ class SentinelUL:
 
     def value_estimate(self, model, policy_min, policy_max, batch,
                        stream: RngStream, purpose=0, outer=0, inner=0):
-        trajs = sample_batch(self.game, model, policy_min, policy_max, batch,
-                             self.horizon, stream, purpose, outer, inner)
+        trajs = sample_batch(self.game, model, [policy_min], [policy_max], batch,
+                             self.horizon, stream, [purpose], outer, inner)
         return float(np.mean(self._counts(trajs).sum(axis=1))), n_env_steps(trajs)
 
     def grad_policies_estimate(self, model, policy_min, policy_max, batch,
                                stream: RngStream, purpose=0, outer=0, inner=0):
-        trajs = sample_batch(self.game, model, policy_min, policy_max, batch,
-                             self.horizon, stream, purpose, outer, inner)
+        trajs = sample_batch(self.game, model, [policy_min], [policy_max], batch,
+                             self.horizon, stream, [purpose], outer, inner)
         gmin, gmax = reinforce(trajs, self._counts(trajs),
                                [probs(policy_min), probs(policy_max)], ["min", "max"], 1.0)
         return gmin, gmax, n_env_steps(trajs)

@@ -41,6 +41,7 @@ from .game import (MarkovGame, RewardModel, effective_reward, effective_reward_g
                    log_softmax, probs, softmax)
 
 __all__ = [
+    "SolverError",
     "SaddleSolveError",
     "ValueIterationError",
     "LinearSolveError",
@@ -67,21 +68,25 @@ __all__ = [
 _LOG_FLOOR = 1e-320  # below this, probabilities are treated as exactly zero
 
 
-class SaddleSolveError(RuntimeError):
+class SolverError(RuntimeError):
+    """An exact solver stopped short of its tolerance or bound."""
+
+
+class SaddleSolveError(SolverError):
     def __init__(self, residual: float, iterations: int):
         super().__init__(f"saddle solver stalled at residual {residual:.3e} after {iterations} iterations")
         self.residual = residual
         self.iterations = iterations
 
 
-class ValueIterationError(RuntimeError):
+class ValueIterationError(SolverError):
     def __init__(self, residual: float, sweeps: int):
         super().__init__(f"value iteration stopped at residual {residual:.3e} after {sweeps} sweeps")
         self.residual = residual
         self.sweeps = sweeps
 
 
-class LinearSolveError(RuntimeError):
+class LinearSolveError(SolverError):
     def __init__(self, residual: float, bound: float, restarts: int):
         super().__init__(f"linear solve stopped at residual {residual:.3e} above its bound "
                          f"{bound:.3e} after {restarts} restarts")

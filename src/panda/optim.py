@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import EnvBundle
-from .exact import best_response, exact_grad_policy, exact_grad_x, ni_gradients
+from .exact import SolverError, best_response, exact_grad_policy, exact_grad_x, ni_gradients
 from .game import TabularPolicy, _is_int, _is_real
 from .sampling import RngStream, estimate_gradients, n_env_steps, sample_batch
 
@@ -74,6 +74,10 @@ class NonFiniteGradientError(RuntimeError):
         self.optimizer = optimizer
         self.outer = outer
         self.inner = inner
+
+
+# the errors that abort a run; `_metrics_loop` gives each the rows recorded so far
+RUN_ABORTS = (NonFiniteGradientError, SolverError)
 
 
 @dataclass
@@ -271,34 +275,37 @@ def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
     """Drive `step_fn` for up to `outer_iters` iterations, recording metrics.
 
     `step_fn(t)` performs one full outer iteration, mutating `state`.  Exact
-    metrics are computed on the eval cadence and at the last recorded row
-    (whether reached by iteration count or by the env-step budget); other
-    rows repeat the previous values so every row is populated.
+    metrics are computed before the first iteration, on the eval cadence
+    and at the last recorded row (whether reached by iteration count or by
+    the env-step budget); other rows repeat the previous values so every row
+    is populated.  A `RUN_ABORTS` error raised in a step or an evaluation
+    aborts the run, carrying the rows recorded so far as its `partial`
+    result.
     """
     cache = _EvalCache()
-    metrics = exact_metrics(env, state, cfg.lam, cache)
     records: list[RunRecord] = []
-    for t in range(cfg.outer_iters):
-        t0 = time.perf_counter()
-        try:
+    try:
+        metrics = exact_metrics(env, state, cfg.lam, cache)
+        for t in range(cfg.outer_iters):
+            t0 = time.perf_counter()
             step_fn(t)
-        except NonFiniteGradientError as e:
-            # completed iterations survive as a partial result for callers
-            # that want to persist what the run managed before aborting
-            e.partial = RunResult(records=records, state=state)
-            raise
-        wall = (time.perf_counter() - t0) * 1e3
-        out_of_budget = (cfg.env_step_budget is not None
-                         and state.env_steps >= cfg.env_step_budget)
-        last = out_of_budget or t + 1 == cfg.outer_iters
-        if (t + 1) % cfg.eval_cadence == 0 or last:
-            metrics = exact_metrics(env, state, cfg.lam, cache)
-        records.append(RunRecord(
-            outer_iter=t + 1, env_steps=state.env_steps,
-            ul_objective=metrics.ul_objective, ni_gap=metrics.ni_gap,
-            grad_norm=metrics.grad_norm, wall_ms=wall))
-        if out_of_budget:
-            break
+            wall = (time.perf_counter() - t0) * 1e3
+            out_of_budget = (cfg.env_step_budget is not None
+                             and state.env_steps >= cfg.env_step_budget)
+            last = out_of_budget or t + 1 == cfg.outer_iters
+            if (t + 1) % cfg.eval_cadence == 0 or last:
+                metrics = exact_metrics(env, state, cfg.lam, cache)
+            records.append(RunRecord(
+                outer_iter=t + 1, env_steps=state.env_steps,
+                ul_objective=metrics.ul_objective, ni_gap=metrics.ni_gap,
+                grad_norm=metrics.grad_norm, wall_ms=wall))
+            if out_of_budget:
+                break
+    except RUN_ABORTS as e:
+        # completed iterations survive as a partial result for callers
+        # that want to persist what the run managed before aborting
+        e.partial = RunResult(records=records, state=state)
+        raise
     return RunResult(records=records, state=state)
 
 
@@ -319,7 +326,7 @@ class _Sampled:
 
     def j_grads(self, model_x, requests, outer, inner):
         game, cfg = self.env.game, self.cfg
-        policies_min, policies_max, sides, purposes = (list(c) for c in zip(*requests))
+        policies_min, policies_max, sides, purposes = zip(*requests)
         batch = sample_batch(game, model_x, policies_min, policies_max, cfg.batch_traj,
                              cfg.horizon, self.stream, purposes, outer, inner)
         return (estimate_gradients(game, model_x, policies_min, policies_max, batch, sides),

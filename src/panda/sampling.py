@@ -15,19 +15,19 @@ estimator reads as they are.
 
 An optimizer's update phase asks for several gradients at one (outer,
 inner) coordinate, each from its own policy pair and stream purpose.
-`sample_batch` and `estimate_gradients` take such a phase as lists, one entry
-per request, and treat it as one stacked batch: request p owns rows
-p*B ... (p+1)*B - 1, drawn from its own purpose's streams, and reads its
-policies' tables (built once per distinct policy) stacked as (P*S, K) arrays
-at row p*S + s.  Its gradient accumulates at its own offset of one
-`np.add.at`, in the order a call for that request alone would use, so a
-stacked phase gives each request the bits a separate call would.  A single
-pair is the one-request case of the same code.
+`sample_batch` and `estimate_gradients` take their requests as equal-length
+lists, one entry per request (a single request is a one-entry list), and
+treat them as one stacked batch: request p owns rows p*B ... (p+1)*B - 1,
+drawn from its own purpose's streams, and reads its policies' tables (built
+once per distinct policy) stacked as (P*S, K) arrays at row p*S + s.  Its
+gradient accumulates at its own offset of one `np.add.at`, in the order a
+call for that request alone would use, so a stacked phase gives each request
+the bits a separate call would.
 
 All policy-gradient estimates go through one REINFORCE loop, `reinforce`,
 which weights each step's score by the discounted reward-to-go of whatever
-per-step rewards it is given, for one player or for several players at once
-on one batch.  For the entropy-regularized game value those
+per-step rewards it is given, for a list of players on one batch, one table
+and side each.  For the entropy-regularized game value those
 are the regularized rewards (environment reward plus tau-weighted
 log-probabilities of the executed actions); the environments feed it their
 upper-level rewards.  The reward-parameter gradient accumulates discounted
@@ -174,28 +174,23 @@ def _successors(game: MarkovGame):
     return lambda sab, u: succ[sab, _pick(cum[sab], u)]
 
 
-def _requests(policy_min, policy_max, per_request):
-    """Lists of the requests' policies and of `per_request`, and whether they came as lists.
+def _check_requests(**lists) -> int:
+    """The common length of the named request lists, each a non-empty list or tuple."""
+    for name, v in lists.items():
+        if not (isinstance(v, (list, tuple)) and v):
+            got = "an empty list" if isinstance(v, (list, tuple)) else type(v).__name__
+            raise ValueError(f"{name} must be a non-empty list, one entry per request, got {got}")
+    lengths = {len(v) for v in lists.values()}
+    if len(lengths) > 1:
+        raise ValueError("request lists must have equal lengths: "
+                         + ", ".join(f"{name} has {len(v)}" for name, v in lists.items()))
+    return lengths.pop()
 
-    A single policy pair is the one-request case; lists give one entry per
-    request, and all three must have the same length.
-    """
-    if not isinstance(policy_min, (list, tuple)):
-        return [policy_min], [policy_max], [per_request], False
-    if not len(policy_min) == len(policy_max) == len(per_request) > 0:
-        raise ValueError("a stacked call needs as many policy pairs as purposes or sides")
-    return list(policy_min), list(policy_max), list(per_request), True
 
-
-def _once(table):
-    """`table` as a function of a policy that builds it once per distinct policy object."""
-    built = {}
-
-    def get(policy):
-        if id(policy) not in built:
-            built[id(policy)] = table(policy)
-        return built[id(policy)]
-    return get
+def _tables(table, policies) -> dict:
+    """`table(p)` for each distinct policy object p of `policies`, keyed by `id(p)`."""
+    distinct = {id(p): p for p in policies}
+    return {key: table(p) for key, p in distinct.items()}
 
 
 def _block_offsets(n: int, n_req: int, size: int) -> np.ndarray:
@@ -207,22 +202,28 @@ def _block_offsets(n: int, n_req: int, size: int) -> np.ndarray:
     return np.repeat(np.arange(n_req) * size, n // n_req)
 
 
-def _rollout_batch(game, model, policies_min, policies_max, horizon, us) -> TrajBatch:
-    """Step all trajectories of a batch together.
+def sample_batch(game: MarkovGame, model: RewardModel, policies_min: list,
+                 policies_max: list, batch: int, horizon: int, stream: RngStream,
+                 purposes: list, outer: int = 0, inner: int = 0) -> TrajBatch:
+    """Sample `batch` independent trajectories per request on dedicated per-index streams.
 
-    Row i of `us` holds trajectory i's uniforms: the initial state, then
-    (min action, max action, next state) per step.  The rows are split into
-    one equal block per policy pair, each block acting with its own pair.
-    Every row is stepped while any trajectory is running; a trajectory ends
-    once it enters an absorbing state, and the steps recorded past its end
-    are zeroed at the end.
+    `policies_min`, `policies_max` and `purposes` are equal-length lists, one
+    entry per request.  Rows p*batch ... (p+1)*batch - 1 hold request p's
+    trajectories, each row the trajectory a call for request p alone would
+    give.  Row i's uniforms give its initial state, then (min action, max
+    action, next state) per step.  Every row is stepped while any trajectory
+    is running; a trajectory ends once it enters an absorbing state, and the
+    steps recorded past its end are zeroed at the end.
     """
+    _check_requests(policies_min=policies_min, policies_max=policies_max, purposes=purposes)
+    us = np.concatenate([stream.uniforms(p, outer, inner, batch, 1 + 3 * horizon)
+                         for p in purposes])
     n = len(us)
     n_states, na, nb, _ = game.succ.shape
     r_flat = effective_reward(game, model).ravel()
-    cum = _once(lambda p: _cumulative(probs(p)))
-    cum_y = np.concatenate([cum(p) for p in policies_min])
-    cum_z = np.concatenate([cum(p) for p in policies_max])
+    cum = _tables(lambda p: _cumulative(probs(p)), [*policies_min, *policies_max])
+    cum_y = np.concatenate([cum[id(p)] for p in policies_min])
+    cum_z = np.concatenate([cum[id(p)] for p in policies_max])
     block = _block_offsets(n, len(policies_min), n_states)
     successors = _successors(game)
     states = np.empty((n, horizon), dtype=np.intp)
@@ -250,22 +251,6 @@ def _rollout_batch(game, model, policies_min, policies_max, horizon, us) -> Traj
     for steps in (states, amin, amax, rewards):
         steps[pad] = 0
     return TrajBatch(states, amin, amax, rewards, lengths)
-
-
-def sample_batch(game: MarkovGame, model: RewardModel, policy_min, policy_max,
-                 batch: int, horizon: int, stream: RngStream, purpose: int | list = 0,
-                 outer: int = 0, inner: int = 0) -> TrajBatch:
-    """Sample `batch` independent trajectories on dedicated per-index streams.
-
-    `policy_min`, `policy_max` and `purpose` may also be equal-length lists,
-    one entry per request: the batch then stacks `batch` trajectories per
-    request, rows p*batch ... (p+1)*batch - 1 those of request p, each row
-    the trajectory a call for request p alone would give.
-    """
-    policies_min, policies_max, purposes, _ = _requests(policy_min, policy_max, purpose)
-    us = np.concatenate([stream.uniforms(p, outer, inner, batch, 1 + 3 * horizon)
-                         for p in purposes])
-    return _rollout_batch(game, model, policies_min, policies_max, horizon, us)
 
 
 def n_env_steps(batch: TrajBatch) -> int:
@@ -314,21 +299,20 @@ def _score_sums(s, acts, w, mask, tables) -> list[np.ndarray]:
     return [g[:, :t.shape[1]] for g, t in zip(grad, tables)]
 
 
-def reinforce(batch: TrajBatch, step_rewards: np.ndarray, probs, side, gamma: float):
-    """Batch-mean REINFORCE gradient sum_t gamma^t score_t * reward-to-go_t.
+def reinforce(batch: TrajBatch, step_rewards: np.ndarray, tables: list, sides: list,
+              gamma: float) -> list[np.ndarray]:
+    """Batch-mean REINFORCE gradients sum_t gamma^t score_t * reward-to-go_t, one per side.
 
     `step_rewards` (B, H) holds the per-step rewards of the batch's
     trajectories and must be zero past each trajectory's length, since the
-    reward-to-go sums the whole row; `probs` (S, K) is the acting player's
-    policy on `side` ("min" or "max"), whose softmax logits the gradient is
-    taken in.  `probs` and `side` may also be equal-length lists, one entry
-    per player whose gradient the same batch estimates; the result is then a
-    list.  The whole batch is processed at once; the gradient entries are
-    accumulated trajectory by trajectory in step order, as a per-trajectory
-    loop would.
+    reward-to-go sums the whole row.  `tables` and `sides` are equal-length
+    lists, one entry per player whose gradient the batch estimates: table
+    (S, K) is the policy of the player on its side ("min" or "max"), whose
+    softmax logits the gradient is taken in.  The whole batch is processed
+    at once; the gradient entries are accumulated trajectory by trajectory
+    in step order, as a per-trajectory loop would.
     """
-    listed = isinstance(side, (list, tuple))
-    tables, sides = (probs, side) if listed else ([probs], [side])
+    _check_requests(tables=tables, sides=sides)
     for sd in sides:
         _check_side(sd)
     # one copy of the batch's rows per side, scored against that side's table
@@ -337,22 +321,22 @@ def reinforce(batch: TrajBatch, step_rewards: np.ndarray, probs, side, gamma: fl
     acts = np.concatenate([batch.actions_min if sd == "min" else batch.actions_max
                            for sd in sides])
     rows = states + _block_offsets(len(states), len(sides), len(tables[0]))[:, None]
-    grads = [g / len(batch) for g in _score_sums(rows, acts, w, mask, tables)]
-    return grads if listed else grads[0]
+    return [g / len(batch) for g in _score_sums(rows, acts, w, mask, tables)]
 
 
-def estimate_gradients(game: MarkovGame, model: RewardModel, policy_min, policy_max,
-                       batch: TrajBatch, side):
-    """Batch-mean gradient of J in one block: "x" (incentives), "min" or "max" (logits).
+def estimate_gradients(game: MarkovGame, model: RewardModel, policies_min: list,
+                       policies_max: list, batch: TrajBatch, sides: list) -> list[np.ndarray]:
+    """Batch-mean gradients of J, each in one block: "x" (incentives), "min" or "max" (logits).
 
-    With lists of policies and sides, one entry per request of a stacked
-    `sample_batch`, row block p of `batch` estimates request p's block and the
-    result is a list; the sides must then be all "x" or all policy sides.
+    `policies_min`, `policies_max` and `sides` are equal-length lists, one
+    entry per request of a `sample_batch` call: row block p of `batch`
+    estimates request p's block.  The sides must be all "x" or all policy
+    sides.
     """
-    policies_min, policies_max, sides, listed = _requests(policy_min, policy_max, side)
+    n_req = _check_requests(policies_min=policies_min, policies_max=policies_max, sides=sides)
     for sd in sides:
         _check_side(sd, ("x", "min", "max"))
-    n_req, per = len(sides), len(batch) // len(sides)
+    per = len(batch) // n_req
     s, a, b = batch.states, batch.actions_min, batch.actions_max
     mask = batch.mask
     if "x" in sides:
@@ -363,18 +347,16 @@ def estimate_gradients(game: MarkovGame, model: RewardModel, policy_min, policy_
         block = _block_offsets(len(batch), n_req, gx.size)[:, None]
         grad = np.zeros(n_req * gx.size)
         np.add.at(grad, (np.ravel_multi_index((s, a, b), gx.shape) + block)[mask], w[mask])
-        grads = list(grad.reshape(n_req, *gx.shape) / per)
-    else:
-        log_probs = _once(TabularPolicy.log_probs_all)
-        score_probs = _once(lambda p: np.exp(log_probs(p)))
-        row = s + _block_offsets(len(batch), n_req, game.n_states)[:, None]
-        lp_y = np.concatenate([log_probs(p) for p in policies_min])
-        lp_z = np.concatenate([log_probs(p) for p in policies_max])
-        u = batch.rewards + game.tau_min * lp_y[row, a] - game.tau_max * lp_z[row, b]
-        u[game.absorbing[s] | ~mask] = 0.0
-        acts = np.where(np.repeat([sd == "min" for sd in sides], per)[:, None], a, b)
-        tables = [score_probs(pmin if sd == "min" else pmax)
-                  for pmin, pmax, sd in zip(policies_min, policies_max, sides)]
-        grads = [g / per for g in _score_sums(row, acts, _discounted_to_go(u, game.discount),
-                                              mask, tables)]
-    return grads if listed else grads[0]
+        return list(grad.reshape(n_req, *gx.shape) / per)
+    log_probs = _tables(TabularPolicy.log_probs_all, [*policies_min, *policies_max])
+    row = s + _block_offsets(len(batch), n_req, game.n_states)[:, None]
+    lp_y = np.concatenate([log_probs[id(p)] for p in policies_min])
+    lp_z = np.concatenate([log_probs[id(p)] for p in policies_max])
+    u = batch.rewards + game.tau_min * lp_y[row, a] - game.tau_max * lp_z[row, b]
+    u[game.absorbing[s] | ~mask] = 0.0
+    acts = np.where(np.repeat([sd == "min" for sd in sides], per)[:, None], a, b)
+    acting = [pmin if sd == "min" else pmax
+              for pmin, pmax, sd in zip(policies_min, policies_max, sides)]
+    score_probs = _tables(lambda p: np.exp(log_probs[id(p)]), acting)
+    return [g / per for g in _score_sums(row, acts, _discounted_to_go(u, game.discount),
+                                         mask, [score_probs[id(p)] for p in acting])]

@@ -1,10 +1,19 @@
-"""Shared builders for seeded test games and acceptance-line reporting."""
+"""Shared builders for seeded test games, and acceptance-line and CSV-digest reporting."""
+
+import hashlib
 
 import numpy as np
 
 from panda.game import MarkovGame, RewardModel
 
 ACCEPTANCE_LINES = []
+CSV_DIGESTS = {}
+
+
+def record_csv_digests(out_dir):
+    """Keep the sha256 of each CSV in `out_dir` for the terminal summary, by file name."""
+    for path in sorted(out_dir.glob("*.csv")):
+        CSV_DIGESTS[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -12,6 +21,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    if CSV_DIGESTS:
+        terminalreporter.section("csv digests")
+        for name, digest in sorted(CSV_DIGESTS.items()):
+            terminalreporter.write_line(f"{digest}  {name}")
 
 
 def random_game(seed, n_states=3, na=2, nb=2, gamma=0.9, tau_min=0.1, tau_max=0.1,

@@ -4,6 +4,9 @@ Each test prints an ``ACCEPTANCE n: PASS/FAIL`` line into the terminal
 summary (see conftest) and asserts the corresponding requirement.  The
 heavyweight experiment runs are shared through session-scoped fixtures so
 the end-to-end artifacts are produced once and inspected by several tests.
+The sha256 of each packaged CSV they write (12 synthetic, 9 sentinel, 1
+oracle stationarity) is printed in a ``csv digests`` summary section, so
+two test logs show whether the outputs are byte-identical.
 """
 
 import time
@@ -13,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, record_csv_digests
 from panda.checks import run_suite
 from panda.cli import main as cli_main
 from panda.envs import SyntheticSpec, build_synthetic
@@ -83,6 +86,7 @@ def synthetic_runs(tmp_path_factory):
     rc_a = cli_main(["run", "--config", cfg, "--out", str(out_a)])
     wall = time.perf_counter() - t0
     rc_b = cli_main(["run", "--config", cfg, "--out", str(out_b)])
+    record_csv_digests(out_a)
     return SimpleNamespace(out_a=out_a, out_b=out_b, rc_a=rc_a, rc_b=rc_b,
                            wall=wall)
 
@@ -174,6 +178,7 @@ def sentinel_runs(tmp_path_factory):
     rc = cli_main(["run", "--config", str(CONFIGS / "sentinel.json"),
                    "--out", str(out)])
     wall = time.perf_counter() - t0
+    record_csv_digests(out)
     return SimpleNamespace(out=out, rc=rc, wall=wall)
 
 
@@ -191,6 +196,7 @@ def test_acceptance_8_pursuit_and_stationarity(sentinel_runs, tmp_path):
     rc = cli_main(["run", "--config", str(CONFIGS / "oracle_stationarity.json"),
                    "--out", str(tmp_path)])
     oracle_wall = time.perf_counter() - t0
+    record_csv_digests(tmp_path)
     assert rc == 0
     grad_norm = np.array([r["grad_norm"] for r in
                           read_rows(tmp_path / "oracle_stationarity_oracle_seed0.csv")])

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from panda import optim
-from panda.cli import ConfigError, load_experiment, main
+from panda.cli import CSV_HEADER, ConfigError, load_experiment, main
 from panda.envs import build_env
+from panda.exact import LinearSolveError, ValueIterationError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -326,6 +327,37 @@ def test_nonfinite_run_exits_3_with_partial_csv(tmp_path, monkeypatch, capsys):
     assert len(rows) < 6  # aborted before completing all iterations
     manifest = json.loads((out / "exp_manifest.json").read_text())
     assert manifest["runs"][0]["error"]
+
+
+@pytest.mark.parametrize("name,error,aborted", [
+    ("best_response", ValueIterationError(1e-3, 7), ["oracle"]),
+    ("ni_gradients", LinearSolveError(1e-3, 1e-9, 100), ["panda", "oracle"]),
+])
+def test_solver_failure_exits_3_and_keeps_every_output(tmp_path, monkeypatch, capsys,
+                                                       name, error, aborted):
+    """A solver error aborts only the runs it occurs in; every CSV and the manifest
+    are written.  Only `run_oracle` looks `best_response` up in `optim`, and every
+    run evaluates `ni_gradients` before its first iteration."""
+    monkeypatch.setenv("PANDA_THREADS", "1")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(optim, name, fail)
+    path = write_config(tmp_path, optimizers=["panda", "oracle"])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    manifest = json.loads((out / "exp_manifest.json").read_text())
+    assert [r["optimizer"] for r in manifest["runs"]] == ["panda", "oracle"]
+    for run in manifest["runs"]:
+        header, rows = read_csv(out / run["csv"])
+        assert header == CSV_HEADER
+        if run["optimizer"] in aborted:
+            assert rows == [] and run["error"] == str(error)
+            assert f"{run['optimizer']} seed 0 aborted: {error}" in err
+        else:
+            assert len(rows) == 2 and run["error"] is None
 
 
 def test_check_gradients_passes(capsys):

@@ -192,7 +192,7 @@ def test_sentinel_spawn_capture_single_step():
     game2 = type(game)(game.transition, rho, game.absorbing, game.discount,
                        game.tau_min, game.tau_max)
     pmin, pmax = uniform_pols(env)
-    traj = sample_batch(game2, env.model, pmin, pmax, 1, spec.max_steps, RngStream(5))
+    traj = sample_batch(game2, env.model, [pmin], [pmax], 1, spec.max_steps, RngStream(5), [0])
     assert traj.lengths.tolist() == [1]
     assert traj.rewards[0, 0] == pytest.approx(10.0 + 0.05 * 0.5, abs=1e-12)
 
@@ -200,7 +200,8 @@ def test_sentinel_spawn_capture_single_step():
 def test_sentinel_episode_cap():
     env = build_sentinel(GridSpec())
     pmin, pmax = uniform_pols(env)
-    batch = sample_batch(env.game, env.model, pmin, pmax, 64, env.ul.horizon, RngStream(6))
+    batch = sample_batch(env.game, env.model, [pmin], [pmax], 64, env.ul.horizon, RngStream(6),
+                         [0])
     assert batch.states.shape == (64, 20)
     assert batch.lengths.max() <= 20
 
@@ -217,7 +218,8 @@ def test_sentinel_ul_value_against_sampled_episodes():
     env = build_sentinel(GridSpec())
     pmin, pmax = uniform_pols(env)
     exact = env.ul.value_exact(env.model, pmin, pmax)
-    batch = sample_batch(env.game, env.model, pmin, pmax, 4000, env.ul.horizon, RngStream(8))
+    batch = sample_batch(env.game, env.model, [pmin], [pmax], 4000, env.ul.horizon, RngStream(8),
+                         [0])
     counts = np.array([env.ul.restricted_state[s[:m]].sum()
                        for s, m in zip(batch.states, batch.lengths)], dtype=float)
     se = counts.std(ddof=1) / np.sqrt(len(counts))
@@ -322,7 +324,8 @@ def test_padded_steps_never_leak():
     pmin = TabularPolicy(0.3 * rng.normal(size=(game.n_states, 5)))
     pmax = TabularPolicy(0.3 * rng.normal(size=(game.n_states, 5)))
     coords = dict(purpose=4, outer=2, inner=1)
-    batch = sample_batch(game, model, pmin, pmax, 64, env.ul.horizon, RngStream(48), **coords)
+    batch = sample_batch(game, model, [pmin], [pmax], 64, env.ul.horizon, RngStream(48),
+                         [coords["purpose"]], coords["outer"], coords["inner"])
     assert (batch.lengths < env.ul.horizon).any() and (batch.lengths == env.ul.horizon).any()
 
     # upper level: the sentinel's restricted-step counts
@@ -347,7 +350,7 @@ def test_padded_steps_never_leak():
         reg.append(np.where(game.absorbing[s], 0.0, u))
     for pol, side in ((pmin, "min"), (pmax, "max")):
         np.testing.assert_allclose(
-            estimate_gradients(game, model, pmin, pmax, batch, side),
+            estimate_gradients(game, model, [pmin], [pmax], batch, [side])[0],
             _per_row_reinforce(batch, reg, pol, side, game.discount), rtol=1e-10, atol=1e-12)
     gx = effective_reward_grad_x(game, model)
     ref_x = np.zeros_like(gx)
@@ -355,7 +358,7 @@ def test_padded_steps_never_leak():
         for t in range(m):
             sab = batch.states[i, t], batch.actions_min[i, t], batch.actions_max[i, t]
             ref_x[sab] += game.discount ** t * gx[sab]
-    np.testing.assert_allclose(estimate_gradients(game, model, pmin, pmax, batch, "x"),
+    np.testing.assert_allclose(estimate_gradients(game, model, [pmin], [pmax], batch, ["x"])[0],
                                ref_x / len(batch), rtol=1e-10, atol=1e-15)
 
 

@@ -27,7 +27,7 @@ def single_state_game(gamma=0.9):
 def test_rollout_fixed_horizon_single_state():
     game, model = single_state_game()
     pol = TabularPolicy(np.zeros((1, 2)))
-    traj = sample_batch(game, model, pol, pol, 1, 3, RngStream(0))
+    traj = sample_batch(game, model, [pol], [pol], 1, 3, RngStream(0), [0])
     assert len(traj) == 1
     assert traj.lengths.tolist() == [3]
     assert np.all(traj.states == 0)
@@ -42,8 +42,8 @@ def test_rollout_absorbing_start_single_step():
     game = MarkovGame(p, np.ones(1), np.ones(1, bool), 0.9, 0.1, 0.1)
     model = RewardModel(base=np.ones((1, 2, 2)), incentive_params=np.zeros((1, 2, 2)),
                         incentive_scale=0.0)
-    traj = sample_batch(game, model, TabularPolicy(np.zeros((1, 2))),
-                        TabularPolicy(np.zeros((1, 2))), 1, 5, RngStream(1))
+    traj = sample_batch(game, model, [TabularPolicy(np.zeros((1, 2)))],
+                        [TabularPolicy(np.zeros((1, 2)))], 1, 5, RngStream(1), [0])
     assert traj.lengths.tolist() == [1]
     assert traj.rewards[0, 0] == 0.0  # absorbing states pay nothing
 
@@ -58,7 +58,7 @@ def test_rollout_stops_on_entering_absorbing():
     model = RewardModel(base=np.full((2, 1, 1), 7.0), incentive_params=np.zeros((2, 1, 1)),
                         incentive_scale=0.0)
     pol = TabularPolicy(np.zeros((2, 1)))
-    traj = sample_batch(game, model, pol, pol, 1, 10, RngStream(2))
+    traj = sample_batch(game, model, [pol], [pol], 1, 10, RngStream(2), [0])
     assert traj.lengths.tolist() == [1]
     assert traj.states[0, 0] == 0
     assert traj.rewards[0, 0] == 7.0
@@ -71,7 +71,7 @@ def test_rollout_stops_on_entering_absorbing():
 def test_rollout_respects_policy():
     game, model = single_state_game()
     det = TabularPolicy(np.array([[50.0, 0.0]]))
-    traj = sample_batch(game, model, det, det, 1, 20, RngStream(3))
+    traj = sample_batch(game, model, [det], [det], 1, 20, RngStream(3), [0])
     assert traj.lengths.tolist() == [20]
     assert np.all(traj.actions_min == 0)
     assert np.all(traj.actions_max == 0)
@@ -82,8 +82,8 @@ def test_streams_deterministic_and_order_free():
     rng = np.random.default_rng(30)
     pmin, pmax = random_policies(rng, 3, 2, 2)
     stream = RngStream(42)
-    batch = sample_batch(game, model, pmin, pmax, 10, 6, stream, purpose=2, outer=5, inner=1)
-    again = sample_batch(game, model, pmin, pmax, 10, 6, stream, purpose=2, outer=5, inner=1)
+    batch = sample_batch(game, model, [pmin], [pmax], 10, 6, stream, [2], outer=5, inner=1)
+    again = sample_batch(game, model, [pmin], [pmax], 10, 6, stream, [2], outer=5, inner=1)
     assert len(batch) == 10 and batch.states.shape == (10, 6)
     assert np.array_equal(batch.states, again.states)
     assert np.array_equal(batch.actions_min, again.actions_min)
@@ -91,12 +91,12 @@ def test_streams_deterministic_and_order_free():
     assert np.array_equal(batch.rewards, again.rewards)
     assert np.array_equal(batch.lengths, again.lengths)
     # trajectory 7 of a smaller batch on the same coordinates matches its copy
-    fewer = sample_batch(game, model, pmin, pmax, 8, 6, stream, purpose=2, outer=5, inner=1)
+    fewer = sample_batch(game, model, [pmin], [pmax], 8, 6, stream, [2], outer=5, inner=1)
     assert fewer.lengths[7] == batch.lengths[7]
     assert np.array_equal(fewer.states[7], batch.states[7])
     assert np.array_equal(fewer.rewards[7], batch.rewards[7])
     # different coordinates give different draws
-    other = sample_batch(game, model, pmin, pmax, 10, 6, stream, purpose=3, outer=5, inner=1)
+    other = sample_batch(game, model, [pmin], [pmax], 10, 6, stream, [3], outer=5, inner=1)
     assert not np.array_equal(batch.states, other.states)
 
 
@@ -134,7 +134,7 @@ def test_n_env_steps_counts_lengths():
     game, model = random_game(137, n_states=3, gamma=0.9)
     rng = np.random.default_rng(31)
     pmin, pmax = random_policies(rng, 3, 2, 2)
-    batch = sample_batch(game, model, pmin, pmax, 8, 4, RngStream(7))
+    batch = sample_batch(game, model, [pmin], [pmax], 8, 4, RngStream(7), [0])
     assert n_env_steps(batch) == batch.mask.sum()
     assert n_env_steps(batch) == 8 * 4  # no absorbing states here
 
@@ -152,21 +152,21 @@ def test_reinforce_two_step_closed_form():
     y = np.array([[0.25, 0.75], [0.5, 0.5]])
     z = np.array([[0.5, 0.5], [0.9, 0.1]])
     # min: (2*(e0 - y0) + (e1 - y0) + 4*(e1 - y0)) / 2
-    np.testing.assert_allclose(reinforce(trajs, step_rewards, y, "min", 0.5),
+    np.testing.assert_allclose(reinforce(trajs, step_rewards, [y], ["min"], 0.5)[0],
                                [[0.125, -0.125], [0.0, 0.0]], atol=1e-15)
     # max: (2*(e1 - z0) + (e0 - z0) + 4*(e1 - z0)) / 2
-    np.testing.assert_allclose(reinforce(trajs, step_rewards, z, "max", 0.5),
+    np.testing.assert_allclose(reinforce(trajs, step_rewards, [z], ["max"], 0.5)[0],
                                [[-1.25, 1.25], [0.0, 0.0]], atol=1e-15)
     with pytest.raises(ValueError):
-        reinforce(trajs, step_rewards, y, "both", 0.5)
+        reinforce(trajs, step_rewards, [y], ["both"], 0.5)
 
 
 def test_estimate_grad_x_zero_scale():
     game, model = random_game(149, scale=0.0)
     rng = np.random.default_rng(33)
     pmin, pmax = random_policies(rng, 3, 2, 2)
-    batch = sample_batch(game, model, pmin, pmax, 4, 3, RngStream(9))
-    assert np.abs(estimate_gradients(game, model, pmin, pmax, batch, "x")).max() == 0.0
+    batch = sample_batch(game, model, [pmin], [pmax], 4, 3, RngStream(9), [0])
+    assert np.abs(estimate_gradients(game, model, [pmin], [pmax], batch, ["x"])[0]).max() == 0.0
 
 
 def test_estimate_grad_x_single_deterministic_step():
@@ -174,8 +174,8 @@ def test_estimate_grad_x_single_deterministic_step():
     model = RewardModel(base=np.zeros((1, 2, 2)), incentive_params=np.zeros((1, 2, 2)),
                         incentive_scale=1.0)
     det = TabularPolicy(np.array([[50.0, 0.0]]))
-    batch = sample_batch(game, model, det, det, 1, 1, RngStream(10))
-    g = estimate_gradients(game, model, det, det, batch, "x")
+    batch = sample_batch(game, model, [det], [det], 1, 1, RngStream(10), [0])
+    g, = estimate_gradients(game, model, [det], [det], batch, ["x"])
     assert g[0, 0, 0] == pytest.approx(0.25, abs=1e-12)  # sigmoid'(0)
     assert np.abs(g).sum() == pytest.approx(0.25, abs=1e-12)
 
@@ -196,8 +196,8 @@ def test_estimate_grad_policy_unbiased_for_truncated_gradient():
     stream = RngStream(11)
     chunks = []
     for rep in range(400):
-        batch = sample_batch(game, model, pmin, pmax, 50, horizon, stream, purpose=0, outer=rep)
-        chunks.append(estimate_gradients(game, model, pmin, pmax, batch, "min"))
+        batch = sample_batch(game, model, [pmin], [pmax], 50, horizon, stream, [0], outer=rep)
+        chunks.append(estimate_gradients(game, model, [pmin], [pmax], batch, ["min"])[0])
     mean, se = _chunked_mean_se(chunks)
     err = np.abs(mean - exact.reshape(-1))
     assert np.all(err <= 4 * se + 1e-12), (err, se)
@@ -212,8 +212,8 @@ def test_estimate_grad_x_unbiased_for_truncated_gradient():
     stream = RngStream(12)
     chunks = []
     for rep in range(400):
-        batch = sample_batch(game, model, pmin, pmax, 50, horizon, stream, purpose=1, outer=rep)
-        chunks.append(estimate_gradients(game, model, pmin, pmax, batch, "x"))
+        batch = sample_batch(game, model, [pmin], [pmax], 50, horizon, stream, [1], outer=rep)
+        chunks.append(estimate_gradients(game, model, [pmin], [pmax], batch, ["x"])[0])
     mean, se = _chunked_mean_se(chunks)
     err = np.abs(mean - exact.reshape(-1))
     assert np.all(err <= 4 * se + 1e-12), (err, se)
@@ -230,8 +230,8 @@ def test_estimate_grad_policy_symmetric_game_is_mean_zero():
     stream = RngStream(13)
     chunks = []
     for rep in range(200):
-        batch = sample_batch(game, model, pol, pol, 50, 3, stream, outer=rep)
-        chunks.append(estimate_gradients(game, model, pol, pol, batch, "max"))
+        batch = sample_batch(game, model, [pol], [pol], 50, 3, stream, [0], outer=rep)
+        chunks.append(estimate_gradients(game, model, [pol], [pol], batch, ["max"])[0])
     mean, se = _chunked_mean_se(chunks)
     assert np.all(np.abs(mean) <= 4 * se + 1e-12)
 
@@ -240,9 +240,9 @@ def test_estimate_gradients_bundle():
     game, model = random_game(163, n_states=3, gamma=0.9)
     rng = np.random.default_rng(36)
     pmin, pmax = random_policies(rng, 3, 2, 2)
-    batch = sample_batch(game, model, pmin, pmax, 6, 3, RngStream(14))
+    batch = sample_batch(game, model, [pmin], [pmax], 6, 3, RngStream(14), [0])
     with pytest.raises(ValueError, match="side"):
-        estimate_gradients(game, model, pmin, pmax, batch, "y")
+        estimate_gradients(game, model, [pmin], [pmax], batch, ["y"])
 
 
 def test_variance_scales_inversely_with_batch():
@@ -254,9 +254,10 @@ def test_variance_scales_inversely_with_batch():
     def total_variance(batch_size, reps, purpose):
         samples = []
         for rep in range(reps):
-            batch = sample_batch(game, model, pmin, pmax, batch_size, 3, stream,
-                                 purpose=purpose, outer=rep)
-            samples.append(estimate_gradients(game, model, pmin, pmax, batch, "min").reshape(-1))
+            batch = sample_batch(game, model, [pmin], [pmax], batch_size, 3, stream,
+                                 [purpose], outer=rep)
+            samples.append(estimate_gradients(game, model, [pmin], [pmax], batch,
+                                              ["min"])[0].reshape(-1))
         m = np.array(samples)
         return m.var(axis=0, ddof=1).sum()
 
@@ -321,8 +322,8 @@ def test_rollout_matches_per_row_reference():
         for horizon in (1, 2, 5, 13, 20):
             stream = RngStream(g)
             batch = int(rng.integers(1, 40))
-            got = sample_batch(game, model, pmin, pmax, batch, horizon, stream,
-                               purpose=1, outer=horizon, inner=g)
+            got = sample_batch(game, model, [pmin], [pmax], batch, horizon, stream,
+                               [1], outer=horizon, inner=g)
             us = stream.uniforms(1, horizon, g, batch, 1 + 3 * horizon)
             want = _reference_batch(game, model, pmin, pmax, horizon, us)
             for name, w in zip(("states", "actions_min", "actions_max", "rewards", "lengths"),
@@ -415,8 +416,8 @@ def test_stacked_batches_give_the_per_pair_bits():
                 coords = {"outer": horizon, "inner": g}
                 stacked = sample_batch(game, model, pmins, pmaxs, batch, horizon, stream,
                                        purposes[:n_req], **coords)
-                alone = [sample_batch(game, model, pmins[p], pmaxs[p], batch, horizon, stream,
-                                      purposes[p], **coords) for p in range(n_req)]
+                alone = [sample_batch(game, model, [pmins[p]], [pmaxs[p]], batch, horizon,
+                                      stream, [purposes[p]], **coords) for p in range(n_req)]
                 for name in ("states", "actions_min", "actions_max", "rewards", "lengths"):
                     got = getattr(stacked, name)
                     want = np.concatenate([getattr(a, name) for a in alone])
@@ -428,8 +429,8 @@ def test_stacked_batches_give_the_per_pair_bits():
                                                sides[:n_req])
                     assert len(grads) == n_req
                     for p, (got, one) in enumerate(zip(grads, alone)):
-                        want = estimate_gradients(game, model, pmins[p], pmaxs[p], one,
-                                                  sides[p])
+                        want, = estimate_gradients(game, model, [pmins[p]], [pmaxs[p]], one,
+                                                   [sides[p]])
                         assert (got.dtype == want.dtype and got.shape == want.shape
                                 and got.tobytes() == want.tobytes()), (g, n_req, horizon, sides, p)
     assert early_ends > 50
@@ -439,24 +440,43 @@ def test_stacked_calls_check_their_requests():
     game, model = random_game(173, n_states=3)
     rng = np.random.default_rng(63)
     pmin, pmax = random_policies(rng, 3, 2, 2)
-    with pytest.raises(ValueError, match="as many policy pairs"):
+    with pytest.raises(ValueError, match="policies_max has 1"):
         sample_batch(game, model, [pmin, pmin], [pmax], 4, 2, RngStream(0), [0, 1])
     batch = sample_batch(game, model, [pmin, pmin], [pmax, pmax], 4, 2, RngStream(0), [0, 1])
     with pytest.raises(ValueError, match="cannot mix"):
         estimate_gradients(game, model, [pmin, pmin], [pmax, pmax], batch, ["x", "min"])
     with pytest.raises(ValueError, match="side"):
         estimate_gradients(game, model, [pmin, pmin], [pmax, pmax], batch, ["min", "y"])
+    # each request argument of the three functions: a bare entry (the old single
+    # form), an empty list and a list shorter than the others fail, naming it
+    calls = [
+        (lambda **kw: sample_batch(game, model, batch=4, horizon=2, stream=RngStream(0), **kw),
+         {"policies_min": [pmin, pmin], "policies_max": [pmax, pmax], "purposes": [0, 1]}),
+        (lambda **kw: estimate_gradients(game, model, batch=batch, **kw),
+         {"policies_min": [pmin, pmin], "policies_max": [pmax, pmax], "sides": ["min", "max"]}),
+        (lambda **kw: reinforce(batch, batch.rewards, gamma=0.9, **kw),
+         {"tables": [pmin.probs_all(), pmax.probs_all()], "sides": ["min", "max"]}),
+    ]
+    for call, good in calls:
+        assert len(call(**good)) in (2, 8)
+        for name, value in good.items():
+            listed = f"^{name} must be a non-empty list, one entry per request, got "
+            for bad, msg in ((value[0], listed + type(value[0]).__name__ + "$"),
+                             ([], listed + "an empty list$"),
+                             (value[:1], rf"equal lengths: .*\b{name} has 1\b")):
+                with pytest.raises(ValueError, match=msg):
+                    call(**{**good, name: bad})
 
 
 def test_reinforce_on_lists_gives_each_sides_bits():
     game, model = random_game(179, n_states=4, na=2, nb=3, n_absorbing=1)
     rng = np.random.default_rng(64)
     pmin, pmax = random_policies(rng, 4, 2, 3, spread=2.0)
-    batch = sample_batch(game, model, pmin, pmax, 9, 6, RngStream(3))
+    batch = sample_batch(game, model, [pmin], [pmax], 9, 6, RngStream(3), [0])
     rewards = np.where(batch.mask, rng.normal(size=batch.rewards.shape), 0.0)
     y, z = pmin.probs_all(), pmax.probs_all()
     for tables, sides in (([y, z], ["min", "max"]), ([z, y, z], ["max", "min", "max"])):
         grads = reinforce(batch, rewards, tables, sides, 0.9)
         for got, table, side in zip(grads, tables, sides):
-            want = reinforce(batch, rewards, table, side, 0.9)
+            want, = reinforce(batch, rewards, [table], [side], 0.9)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), side

@@ -54,7 +54,7 @@ def test_batch_info_reads_batch_outer_and_inner_by_position():
     assert [params[i] for i in (4, 8, 9)] == ["batch", "outer", "inner"]
     env = build_env("synthetic")
     pols = (TabularPolicy.uniform(5, 3), TabularPolicy.uniform(5, 3))
-    args = (env.game, env.model, *pols, 4, 3, RngStream(0), 2, 7, 5)
+    args = (env.game, env.model, [pols[0]], [pols[1]], 4, 3, RngStream(0), [2], 7, 5)
     out = sample_batch(*args)
     assert load_spans()._batch_info(args, {}, out) == (4, n_env_steps(out), 7, 5)
 
