@@ -20,7 +20,8 @@ error, 3 a run aborted, on a non-finite gradient or on an exact solver that
 missed its tolerance (`exact.SolverError`: `LinearSolveError`,
 `ValueIterationError`, `SaddleSolveError`).  An aborted run still writes its
 partial CSV, the other runs their full ones, and the manifest records the
-error of each aborted run.
+error of each aborted run with the outer iteration and the phase it happened
+in, for example ``... after 200 rounds (outer 3, step)``.
 
 Runs are independent and execute on a process pool; the ``PANDA_THREADS``
 environment variable caps the worker count.  CSV contents are byte-stable
@@ -203,7 +204,7 @@ def _run_one(exp: ExperimentConfig, optimizer: str, seed: int) -> dict:
         result = OPTIMIZERS[optimizer](env, cfg, **options)
     except RUN_ABORTS as e:
         result = e.partial
-        error = str(e)
+        error = f"{e} (outer {e.outer}, {e.phase})"
     wall = time.perf_counter() - t0
     return {
         "optimizer": optimizer,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import finite_horizon_grad, finite_horizon_value
-from .game import MarkovGame, RewardModel, _is_int, _is_real, probs
+from .game import MarkovGame, RewardModel, _check_counts, _is_int, _is_real, probs
 from .sampling import RngStream, n_env_steps, reinforce, sample_batch
 
 __all__ = [
@@ -44,13 +44,6 @@ __all__ = [
     "build_sentinel",
     "build_env",
 ]
-
-
-def _check_counts(spec, names, least=1):
-    for name in names:
-        v = getattr(spec, name)
-        if not _is_int(v) or v < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 # --------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (MarkovGame, RewardModel, effective_reward, effective_reward_grad_x,
-                   log_softmax, probs, softmax)
+from .game import (MarkovGame, RewardModel, _check_side, effective_reward,
+                   effective_reward_grad_x, log_softmax, probs, softmax)
 
 __all__ = [
     "SolverError",
@@ -80,8 +80,11 @@ class SaddleSolveError(SolverError):
 
 
 class ValueIterationError(SolverError):
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(f"value iteration stopped at residual {residual:.3e} after {sweeps} sweeps")
+    """Value iteration (`solve_ne`, in sweeps) or soft policy iteration (`best_response`,
+    in rounds) missed its residual threshold; `sweeps` counts either."""
+
+    def __init__(self, residual: float, sweeps: int, method="value iteration", unit="sweeps"):
+        super().__init__(f"{method} stopped at residual {residual:.3e} after {sweeps} {unit}")
         self.residual = residual
         self.sweeps = sweeps
 
@@ -177,20 +180,19 @@ def _saddle_batch(q, tau_min, tau_max, tol, max_iter, warm=None):
 # --------------------------------------------------------------------------
 
 def _folded(game: MarkovGame, r_eff, y, z):
-    """Per-state reward/chain/regularizer under a fixed policy pair."""
+    """Per-state regularized stage payoff, and the state chain, under a fixed policy pair."""
     r_yz = np.einsum("sab,sa,sb->s", r_eff, y, z)
-    chain = game.pair_chain(y, z)
     h = game.tau_min * _neg_entropy(y) - game.tau_max * _neg_entropy(z)
     h[game.absorbing] = 0.0
-    return r_yz, chain, h
+    return r_yz + h, game.pair_chain(y, z)
 
 
 def bellman_policy_operator(game: MarkovGame, model: RewardModel, policy_min, policy_max, v):
     """One application of the fixed-policy evaluation operator."""
     y, z = probs(policy_min), probs(policy_max)
     r_eff = effective_reward(game, model)
-    r_yz, chain, h = _folded(game, r_eff, y, z)
-    return r_yz + h + game.discount * chain.step(v)
+    c, chain = _folded(game, r_eff, y, z)
+    return c + game.discount * chain.step(v)
 
 
 def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
@@ -214,14 +216,6 @@ def soft_bellman_optimality(game: MarkovGame, model: RewardModel, v, tol=1e-10,
         y[live], z[live], tv[live] = _saddle_batch(q[live], game.tau_min, game.tau_max,
                                                    tol, max_iter, warm=w)
     return tv, y, z
-
-
-def _eye_minus(p, gamma) -> np.ndarray:
-    """I - gamma * p in one array: the bits of np.eye(S) - gamma * p."""
-    a = np.multiply(p, gamma)
-    np.subtract(0.0, a, out=a)
-    a.flat[::len(a) + 1] += 1.0
-    return a
 
 
 # Restarted GMRES: Krylov vectors per restart, and restarts before a solve gives up.
@@ -290,13 +284,9 @@ def _solve(chain, b, gamma, x=None, bound=0.0, transpose=False) -> np.ndarray:
     `_gmres` from the guess `x`, to the max-norm residual `bound`.
     """
     if chain.matrix is not None:
-        return np.linalg.solve(_eye_minus(chain.matrix.T if transpose else chain.matrix,
-                                          gamma), b)
+        m = chain.matrix.T if transpose else chain.matrix
+        return np.linalg.solve(np.eye(len(m)) - gamma * m, b)
     return _gmres(chain.step_back if transpose else chain.step, b, gamma, x, bound)
-
-
-def _solve_value(game: MarkovGame, r_yz, chain, h, v0=None) -> np.ndarray:
-    return _solve(chain, r_yz + h, game.discount, v0)
 
 
 def _solve_visitation(game: MarkovGame, chain) -> np.ndarray:
@@ -306,8 +296,8 @@ def _solve_visitation(game: MarkovGame, chain) -> np.ndarray:
 
 def policy_eval(game: MarkovGame, model: RewardModel, policy_min, policy_max) -> np.ndarray:
     """Regularized value of a fixed policy pair, by one linear solve."""
-    y, z = probs(policy_min), probs(policy_max)
-    return _solve_value(game, *_folded(game, effective_reward(game, model), y, z))
+    c, chain = _folded(game, effective_reward(game, model), probs(policy_min), probs(policy_max))
+    return _solve(chain, c, game.discount)
 
 
 def j_value(game: MarkovGame, model: RewardModel, policy_min, policy_max) -> float:
@@ -407,7 +397,7 @@ def _soft_policy_iteration(r_fold, kernel, tau, absorbing, gamma, tol, v0=None):
         if res <= thr:
             break
     else:
-        raise ValueIterationError(float(res), rounds)
+        raise ValueIterationError(float(res), rounds, "policy iteration", "rounds")
     pol[absorbing] = 1.0 / k
     return v, pol, float(res), rounds
 
@@ -472,8 +462,8 @@ def _pair_terms(game, r_eff, y, z, v0=None):
     zero on absorbing states: the mean of the sampled regularized
     reward-to-go given (s, a, b).  `v0` guesses the pair's values.
     """
-    r_yz, chain, h = _folded(game, r_eff, y, z)
-    v = _solve_value(game, r_yz, chain, h, v0)
+    c, chain = _folded(game, r_eff, y, z)
+    v = _solve(chain, c, game.discount, v0)
     d = _solve_visitation(game, chain)
     w = _regularized_stage(game, r_eff, y, z) + game.discount * game.expect(v)
     w[game.absorbing] = 0.0
@@ -497,8 +487,7 @@ def exact_grad_policy(game: MarkovGame, model: RewardModel, policy_min, policy_m
     with the regularized continuation weight, so it matches the expectation
     of the sampled reward-to-go estimator at infinite horizon.
     """
-    if side not in ("min", "max"):
-        raise ValueError(f"side must be 'min' or 'max', got {side!r}")
+    _check_side(side)
     y, z = probs(policy_min), probs(policy_max)
     d_over, w = _pair_terms(game, effective_reward(game, model), y, z)
     return _grad_policy(y, z, d_over, w, side)

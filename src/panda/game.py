@@ -50,6 +50,28 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _check_counts(owner, names, least=1):
+    """Each named attribute of `owner` must be an integer >= `least`."""
+    for name in names:
+        v = getattr(owner, name)
+        if not (_is_int(v) and v >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
+def _check_reals(owner, names, positive=False):
+    """Each named attribute of `owner` must be a finite real, > 0 if `positive`, else >= 0."""
+    for name in names:
+        v = getattr(owner, name)
+        if not (_is_real(v) and math.isfinite(v) and (v > 0 if positive else v >= 0)):
+            raise ValueError(f"{name} must be a finite real {'> 0' if positive else '>= 0'}, "
+                             f"got {v!r}")
+
+
+def _check_side(side, allowed=("min", "max")):
+    if side not in allowed:
+        raise ValueError(f"side must be {' or '.join(map(repr, allowed))}, got {side!r}")
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     out = np.empty_like(x, dtype=float)
@@ -139,8 +161,7 @@ class MarkovGame:
             raise ValueError("init_dist is not a probability vector")
         if not (_is_real(discount) and 0.0 <= discount < 1.0):
             raise ValueError(f"discount must be a real in [0,1), got {discount!r}")
-        if not all(_is_real(t) and 0.0 < t < math.inf for t in (tau_min, tau_max)):
-            raise ValueError(f"entropy temperatures must be finite and > 0, got {tau_min!r}, {tau_max!r}")
+        _check_reals(self, ("tau_min", "tau_max"), positive=True)
         # Absorbing states must self-loop with probability one.
         s = np.arange(S)[:, None, None, None]
         stay = np.where(self.succ == s, self.succ_prob, 0.0).sum(axis=3)
@@ -201,12 +222,11 @@ class MarkovGame:
     def response_kernel(self, fixed, side):
         """`side`'s MDP, over its own actions, against the opponent's policy `fixed`:
         a `ListResponse` on a matrix-free game, else a `ResponseKernel`."""
+        _check_side(side)
         if side == "max":
             w, i, k = fixed[:, :, None, None], 1, self.n_actions_max
-        elif side == "min":
-            w, i, k = fixed[:, None, :, None], 2, self.n_actions_min
         else:
-            raise ValueError(f"side must be 'min' or 'max', got {side!r}")
+            w, i, k = fixed[:, None, :, None], 2, self.n_actions_min
         if self.matrix_free:
             return ListResponse(self.succ, self.succ_prob * w, side, self.absorbing)
         return ResponseKernel(self._fold_index[i], (self.succ_prob * w).ravel(),
@@ -348,12 +368,6 @@ class TabularPolicy:
         """All-zero logits, as a read-only view of one zero: no per-state array."""
         return cls(np.broadcast_to(0.0, (n_states, n_actions)))
 
-    def probs_all(self) -> np.ndarray:
-        return softmax(self.logits)
-
-    def log_probs_all(self) -> np.ndarray:
-        return log_softmax(self.logits)
-
     def copy(self) -> "TabularPolicy":
         return TabularPolicy(self.logits.copy())
 
@@ -374,7 +388,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def probs(policy) -> np.ndarray:
     """Action probabilities of a TabularPolicy, or a probability array as floats."""
     if isinstance(policy, TabularPolicy):
-        return policy.probs_all()
+        return softmax(policy.logits)
     return np.asarray(policy, dtype=float)
 
 

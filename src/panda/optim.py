@@ -41,7 +41,6 @@ sampled source answers with one stacked batch.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from .envs import EnvBundle
 from .exact import SolverError, best_response, exact_grad_policy, exact_grad_x, ni_gradients
-from .game import TabularPolicy, _is_int, _is_real
+from .game import TabularPolicy, _check_counts, _check_reals
 from .sampling import RngStream, estimate_gradients, n_env_steps, sample_batch
 
 # Stream purposes.  Every estimator call site owns one label so that no two
@@ -90,9 +89,9 @@ class PandaConfig:
     every upper-level one; each estimate uses its own fresh batch.  When
     `env_step_budget` is set, a run stops at the end of the first outer
     iteration whose cumulative environment step count reaches it.  `lam`
-    must be finite and positive, the step sizes finite and non-negative (all
-    five real numbers, not booleans), and the counts (iterations, batch
-    sizes, horizon, seed, cadence, budget) integers.
+    must be a finite real > 0 and the step sizes finite reals >= 0 (not
+    booleans); the counts (iterations, batch sizes, horizon, cadence) must be
+    integers >= 1, the seed and the budget integers >= 0.
     """
 
     lam: float = 4.0
@@ -110,32 +109,13 @@ class PandaConfig:
     env_step_budget: int | None = None
 
     def __post_init__(self):
-        counts = ["inner_iters", "outer_iters", "batch_traj", "batch_ul", "horizon",
-                  "seed", "eval_cadence"]
-        if self.env_step_budget is not None:
-            counts.append("env_step_budget")
-        for name in counts:
-            v = getattr(self, name)
-            if not _is_int(v):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.inner_iters < 1 or self.outer_iters < 1:
-            raise ValueError("inner_iters and outer_iters must be positive")
-        if self.batch_traj < 1 or self.batch_ul < 1 or self.horizon < 1:
-            raise ValueError("batch sizes and horizon must be positive")
-        for name in ("lam", "eta_x", "eta_theta", "eta_shadow_min", "eta_shadow_max"):
-            v = getattr(self, name)
-            if not _is_real(v):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"penalty weight lam must be positive and finite, got {self.lam}")
-        for name in ("eta_x", "eta_theta", "eta_shadow_min", "eta_shadow_max"):
-            eta = getattr(self, name)
-            if not (math.isfinite(eta) and eta >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {eta}")
-        if self.env_step_budget is not None and self.env_step_budget < 0:
-            raise ValueError(f"env_step_budget must be non-negative, got {self.env_step_budget}")
-        if self.eval_cadence < 1:
-            raise ValueError("eval_cadence must be positive")
+        # the reals first, so that a config with a bad step and a bad budget names the step
+        _check_reals(self, ("lam",), positive=True)
+        _check_reals(self, ("eta_x", "eta_theta", "eta_shadow_min", "eta_shadow_max"))
+        _check_counts(self, ("inner_iters", "outer_iters", "batch_traj", "batch_ul", "horizon",
+                             "eval_cadence"))
+        _check_counts(self, ("seed",) if self.env_step_budget is None
+                      else ("seed", "env_step_budget"), least=0)
 
 
 @dataclass(frozen=True)
@@ -153,13 +133,9 @@ class OracleOptions:
     br_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (_is_int(self.inner_cap) and self.inner_cap >= 1):
-            raise ValueError(f"inner_cap must be an integer >= 1, got {self.inner_cap!r}")
-        for name, positive in (("inner_tol", False), ("br_tol", True)):
-            v = getattr(self, name)
-            if not (_is_real(v) and math.isfinite(v) and (v > 0 if positive else v >= 0)):
-                raise ValueError(f"{name} must be a finite real "
-                                 f"{'> 0' if positive else '>= 0'}, got {v!r}")
+        _check_counts(self, ("inner_cap",))
+        _check_reals(self, ("inner_tol",))
+        _check_reals(self, ("br_tol",), positive=True)
 
 
 @dataclass
@@ -280,13 +256,17 @@ def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
     the env-step budget); other rows repeat the previous values so every row
     is populated.  A `RUN_ABORTS` error raised in a step or an evaluation
     aborts the run, carrying the rows recorded so far as its `partial`
-    result.
+    result, the outer iteration it happened in as `outer`, and its `phase`:
+    "step", "exact evaluation" after that iteration's step, or "initial exact
+    evaluation" (outer 0) before any step.
     """
     cache = _EvalCache()
     records: list[RunRecord] = []
+    outer, phase = 0, "initial exact evaluation"
     try:
         metrics = exact_metrics(env, state, cfg.lam, cache)
         for t in range(cfg.outer_iters):
+            outer, phase = t, "step"
             t0 = time.perf_counter()
             step_fn(t)
             wall = (time.perf_counter() - t0) * 1e3
@@ -294,6 +274,7 @@ def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
                              and state.env_steps >= cfg.env_step_budget)
             last = out_of_budget or t + 1 == cfg.outer_iters
             if (t + 1) % cfg.eval_cadence == 0 or last:
+                phase = "exact evaluation"
                 metrics = exact_metrics(env, state, cfg.lam, cache)
             records.append(RunRecord(
                 outer_iter=t + 1, env_steps=state.env_steps,
@@ -305,6 +286,7 @@ def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
         # completed iterations survive as a partial result for callers
         # that want to persist what the run managed before aborting
         e.partial = RunResult(records=records, state=state)
+        e.outer, e.phase = outer, phase
         raise
     return RunResult(records=records, state=state)
 

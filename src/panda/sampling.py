@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import (MarkovGame, RewardModel, TabularPolicy, _is_int, effective_reward,
-                   effective_reward_grad_x, probs)
+from .game import (MarkovGame, RewardModel, _check_side, _is_int, effective_reward,
+                   effective_reward_grad_x, log_softmax, probs)
 
 __all__ = [
     "RngStream",
@@ -257,11 +257,6 @@ def n_env_steps(batch: TrajBatch) -> int:
     return int(batch.lengths.sum())
 
 
-def _check_side(side, allowed=("min", "max")):
-    if side not in allowed:
-        raise ValueError(f"side must be {' or '.join(map(repr, allowed))}, got {side!r}")
-
-
 def _discounted_to_go(step_rewards: np.ndarray, gamma: float) -> np.ndarray:
     """gamma^t times the reward-to-go of each step of (n, H) rewards."""
     n, h = step_rewards.shape
@@ -348,7 +343,7 @@ def estimate_gradients(game: MarkovGame, model: RewardModel, policies_min: list,
         grad = np.zeros(n_req * gx.size)
         np.add.at(grad, (np.ravel_multi_index((s, a, b), gx.shape) + block)[mask], w[mask])
         return list(grad.reshape(n_req, *gx.shape) / per)
-    log_probs = _tables(TabularPolicy.log_probs_all, [*policies_min, *policies_max])
+    log_probs = _tables(lambda p: log_softmax(p.logits), [*policies_min, *policies_max])
     row = s + _block_offsets(len(batch), n_req, game.n_states)[:, None]
     lp_y = np.concatenate([log_probs[id(p)] for p in policies_min])
     lp_z = np.concatenate([log_probs[id(p)] for p in policies_max])

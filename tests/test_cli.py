@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -53,12 +54,12 @@ def test_load_experiment_resolves_defaults(tmp_path):
     (lambda c: c.update(bogus_key=1), "unknown config keys"),
     (lambda c: c.update(oracle_options={"zeta": 1}), "unknown oracle_options"),
     (lambda c: c.update(env={"name": "synthetic", "n_statez": 4}), "unknown env fields"),
-    (lambda c: c.update(config={"lam": float("nan")}), "lam must be positive and finite"),
+    (lambda c: c.update(config={"lam": float("nan")}), "lam must be a finite real > 0, got nan"),
     (lambda c: c.update(config={"eta_x": float("inf")}), "eta_x"),
-    (lambda c: c.update(config={"lam": True}), "lam must be a real number"),
-    (lambda c: c.update(config={"eta_x": True}), "eta_x must be a real number"),
+    (lambda c: c.update(config={"lam": True}), "lam must be a finite real > 0, got True"),
+    (lambda c: c.update(config={"eta_x": True}), "eta_x must be a finite real >= 0, got True"),
     (lambda c: c.update(optimizer_overrides={"panda": {"eta_shadow_max": "0.1"}}),
-     "eta_shadow_max must be a real number"),
+     "eta_shadow_max must be a finite real >= 0, got '0.1'"),
     (lambda c: c.update(config={"eta_theta": -0.1, "env_step_budget": -5}), "eta_theta"),
     (lambda c: c.update(config={"env_step_budget": -5}), "env_step_budget"),
     (lambda c: c.update(config={"inner_iters": 1.5}), "inner_iters must be an integer"),
@@ -106,7 +107,7 @@ def test_load_experiment_resolves_defaults(tmp_path):
     (lambda c: c.update(env={"name": "synthetic", "incentive_scale": float("nan")}),
      "incentive_scale must be a finite real, got nan"),
     (lambda c: c.update(env={"name": "synthetic", "tau": float("inf")}),
-     "entropy temperatures must be finite and > 0"),
+     "tau_min must be a finite real > 0, got inf"),
     (lambda c: c.update(env={"name": "sentinel", "payoff": float("inf")}),
      "base payoff must be finite"),
     (lambda c: c.update(env={"name": "synthetic", "discount": False}),
@@ -336,8 +337,10 @@ def test_nonfinite_run_exits_3_with_partial_csv(tmp_path, monkeypatch, capsys):
 def test_solver_failure_exits_3_and_keeps_every_output(tmp_path, monkeypatch, capsys,
                                                        name, error, aborted):
     """A solver error aborts only the runs it occurs in; every CSV and the manifest
-    are written.  Only `run_oracle` looks `best_response` up in `optim`, and every
+    are written, the manifest and stderr naming where the run aborted.  Only
+    `run_oracle` looks `best_response` up in `optim`, in its first step, and every
     run evaluates `ni_gradients` before its first iteration."""
+    phase = {"best_response": "step", "ni_gradients": "initial exact evaluation"}[name]
     monkeypatch.setenv("PANDA_THREADS", "1")
 
     def fail(*args, **kwargs):
@@ -354,10 +357,32 @@ def test_solver_failure_exits_3_and_keeps_every_output(tmp_path, monkeypatch, ca
         header, rows = read_csv(out / run["csv"])
         assert header == CSV_HEADER
         if run["optimizer"] in aborted:
-            assert rows == [] and run["error"] == str(error)
-            assert f"{run['optimizer']} seed 0 aborted: {error}" in err
+            assert rows == [] and run["error"] == f"{error} (outer 0, {phase})"
+            assert f"{run['optimizer']} seed 0 aborted: {error} (outer 0, {phase})" in err
         else:
             assert len(rows) == 2 and run["error"] is None
+
+
+def test_unmet_best_response_tolerance_exits_3_through_the_pool(tmp_path, monkeypatch, capsys,
+                                                                 caplog):
+    """A valid `br_tol` that no soft policy iteration can meet aborts the oracle run in a
+    pool worker; the other run and every output survive."""
+    monkeypatch.setenv("PANDA_THREADS", "2")
+    caplog.set_level(logging.INFO, logger="panda")
+    path = write_config(tmp_path, optimizers=["panda", "oracle"],
+                        config={"outer_iters": 2, "inner_iters": 2, "batch_traj": 2,
+                                "batch_ul": 2, "horizon": 2, "eval_cadence": 1},
+                        oracle_options={"inner_tol": 1e-5, "inner_cap": 3, "br_tol": 1e-300})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert "running 2 jobs on 2 workers" in caplog.text
+    manifest = json.loads((out / "exp_manifest.json").read_text())
+    panda, oracle = manifest["runs"]
+    assert panda["error"] is None and len(read_csv(out / panda["csv"])[1]) == 2
+    assert read_csv(out / oracle["csv"]) == (CSV_HEADER, [])
+    assert oracle["error"].startswith("policy iteration stopped at residual ")
+    assert oracle["error"].endswith(" after 200 rounds (outer 0, step)")
+    assert capsys.readouterr().err == f"error: oracle seed 0 aborted: {oracle['error']}\n"
 
 
 def test_check_gradients_passes(capsys):

@@ -8,7 +8,7 @@ from panda.envs import (
     build_sentinel,
     build_synthetic,
 )
-from panda.game import TabularPolicy, effective_reward_grad_x
+from panda.game import TabularPolicy, effective_reward_grad_x, log_softmax, probs
 from panda.sampling import RngStream, estimate_gradients, sample_batch
 
 
@@ -71,7 +71,7 @@ def test_synthetic_ul_value_against_monte_carlo():
     # vectorized episode simulation in the designer MDP
     n = 1_000_000
     mdp = env.ul.mdp
-    y, z = pmin.probs_all(), pmax.probs_all()
+    y, z = probs(pmin), probs(pmax)
     cum_y, cum_z = np.cumsum(y, axis=1), np.cumsum(z, axis=1)
     mc = np.random.default_rng(41)
     states = np.searchsorted(np.cumsum(mdp.init_dist), mc.random(n), side="right")
@@ -301,14 +301,14 @@ def test_ul_estimators_agree_with_exact(name, n_batches):
 
 def _per_row_reinforce(batch, rewards, pol, side, gamma):
     """REINFORCE batch mean from a loop over rows, reading only [:lengths[i]]."""
-    probs = pol.probs_all()
-    grad = np.zeros_like(probs)
+    pi = probs(pol)
+    grad = np.zeros_like(pi)
     acts = batch.actions_min if side == "min" else batch.actions_max
     for i, m in enumerate(batch.lengths):
         s, a, u = batch.states[i, :m], acts[i, :m], rewards[i][:m]
         for t in range(m):
             ret = sum(gamma ** (j - t) * u[j] for j in range(t, m))
-            score = -probs[s[t]]
+            score = -pi[s[t]]
             score[a[t]] += 1.0
             grad[s[t]] += gamma ** t * ret * score
     return grad / len(batch)
@@ -342,7 +342,7 @@ def test_padded_steps_never_leak():
                                rtol=1e-10, atol=1e-12)
 
     # lower level: regularized rewards and the incentive gradient
-    lp_y, lp_z = pmin.log_probs_all(), pmax.log_probs_all()
+    lp_y, lp_z = log_softmax(pmin.logits), log_softmax(pmax.logits)
     reg = []
     for i, m in enumerate(batch.lengths):
         s, a, b = batch.states[i, :m], batch.actions_min[i, :m], batch.actions_max[i, :m]

@@ -13,7 +13,7 @@ import pytest
 
 from panda.envs import build_env
 from panda.game import (MarkovGame, RewardModel, TabularPolicy, effective_reward,
-                        effective_reward_grad_x)
+                        effective_reward_grad_x, probs)
 from panda import exact
 from panda.exact import (
     LinearSolveError,
@@ -415,7 +415,7 @@ def test_visitation_against_monte_carlo():
     y, z = random_policies(rng, 4, 2, 2)
     d = visitation(game, y, z)
 
-    yp, zp = y.probs_all(), z.probs_all()
+    yp, zp = probs(y), probs(z)
     p_yz = np.einsum("sabn,sa,sb->sn", p, yp, zp)
     cum = np.cumsum(p_yz, axis=1)
     n, t_max = 1_000_000, 160
@@ -498,7 +498,7 @@ def test_truncated_grad_single_step_enumeration():
     game, model = random_game(103, n_states=2, na=2, nb=2, gamma=0.9)
     rng = np.random.default_rng(23)
     pmin, pmax = random_policies(rng, 2, 2, 2)
-    y, z = pmin.probs_all(), pmax.probs_all()
+    y, z = probs(pmin), probs(pmax)
     r = model.values()
     got = exact_grads_truncated(game, model, pmin, pmax, 1)[0]
     want = np.zeros_like(y)
@@ -517,7 +517,7 @@ def test_truncated_grad_x_matches_forward_loop():
     # reference: one term per step along the forward state distributions
     game, model = random_game(109, n_states=4, na=2, nb=3, gamma=0.9, n_absorbing=1, scale=0.8)
     pmin, pmax = random_policies(np.random.default_rng(25), 4, 2, 3)
-    y, z = pmin.probs_all(), pmax.probs_all()
+    y, z = probs(pmin), probs(pmax)
     p_yz = np.einsum("sabn,sa,sb->sn", game.transition, y, z)
     rows = y[:, :, None] * z[:, None, :] * effective_reward_grad_x(game, model)
     want, pt = np.zeros_like(rows), game.init_dist.copy()
@@ -553,7 +553,7 @@ def test_ni_gradients_equal_the_separate_gradient_calls():
                                   n_absorbing=n_absorbing)
         pmin, pmax = random_policies(np.random.default_rng(seed), 5, 2, 3, spread=2.0)
         res = ni_gradients(game, model, pmin, pmax, tol=1e-10)
-        y, z = pmin.probs_all(), pmax.probs_all()
+        y, z = probs(pmin), probs(pmax)
         assert np.array_equal(res.grad_min,
                               exact_grad_policy(game, model, y, res.br_max, "min"))
         assert np.array_equal(res.grad_max,
@@ -602,7 +602,7 @@ def test_pl_inequality_for_gap():
         for _ in range(4):
             pmin, pmax = random_policies(rng, 3, 2, 2, spread=1.5)
             res = ni_gradients(game, model, pmin, pmax, tol=1e-11)
-            mu = pl_constant(game, pmin.probs_all(), pmax.probs_all())
+            mu = pl_constant(game, probs(pmin), probs(pmax))
             sq = 0.5 * (np.sum(res.grad_min ** 2) + np.sum(res.grad_max ** 2))
             assert sq >= mu * res.gap - 1e-9
 
@@ -612,7 +612,7 @@ def test_pl_inequality_for_value_function():
     for seed in range(5):
         game, model = random_game(300 + seed, n_states=3, na=2, nb=2, gamma=0.9)
         pmin, pmax = random_policies(rng, 3, 2, 2, spread=1.5)
-        mu = pl_constant(game, pmin.probs_all(), pmax.probs_all())
+        mu = pl_constant(game, probs(pmin), probs(pmax))
         j = j_value(game, model, pmin, pmax)
         j1 = best_response(game, model, pmin, "max", tol=1e-11).j_value
         j2 = best_response(game, model, pmax, "min", tol=1e-11).j_value
@@ -680,8 +680,8 @@ def test_dense_and_matrix_free_paths_agree(build):
     rng = np.random.default_rng(31)
     stage = rng.uniform(size=(S, A, B))
     for scale in (0.0, 3.0):
-        y = TabularPolicy(scale * rng.normal(size=(S, A))).probs_all()
-        z = TabularPolicy(scale * rng.normal(size=(S, B))).probs_all()
+        y = probs(TabularPolicy(scale * rng.normal(size=(S, A))))
+        z = probs(TabularPolicy(scale * rng.normal(size=(S, B))))
         results = {}
         for matrix_free in (False, True):
             game.matrix_free = matrix_free
@@ -709,8 +709,8 @@ def test_grid_exact_evaluation_allocates_no_transition_sized_array():
     626-state grid each allocate less at their peak than one (S, S) float array."""
     env = build_env("sentinel")
     game, model = env.game, env.model
-    y = TabularPolicy.uniform(game.n_states, game.n_actions_min).probs_all()
-    z = TabularPolicy.uniform(game.n_states, game.n_actions_max).probs_all()
+    y = probs(TabularPolicy.uniform(game.n_states, game.n_actions_min))
+    z = probs(TabularPolicy.uniform(game.n_states, game.n_actions_max))
     effective_reward(game, model)  # the reward table is built once per model, before the calls
     for call in (lambda: best_response(game, model, y, "max"),
                  lambda: ni_gradients(game, model, y, z),

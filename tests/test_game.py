@@ -1,30 +1,33 @@
 import numpy as np
 import pytest
 
-from panda.envs import build_env
-from panda.exact import _eye_minus
+from panda.envs import GridSpec, SyntheticSpec, build_env
+from panda.exact import exact_grad_policy
 from panda.game import (
     MarkovGame,
     RewardModel,
     TabularPolicy,
     effective_reward,
+    probs,
 )
+from panda.optim import OracleOptions, PandaConfig
+from panda.sampling import RngStream, estimate_gradients, reinforce, sample_batch
 from conftest import gapped_transition, random_game
 
 
 def test_uniform_probs_from_zero_logits():
     pol = TabularPolicy(np.zeros((2, 3)))
-    np.testing.assert_allclose(pol.probs_all(), np.full((2, 3), 1.0 / 3.0), atol=1e-15)
+    np.testing.assert_allclose(probs(pol), np.full((2, 3), 1.0 / 3.0), atol=1e-15)
 
 
 def test_constant_logit_shift_is_uniform():
     pol = TabularPolicy(np.full((1, 2), 7.3))
-    np.testing.assert_allclose(pol.probs_all()[0], [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(probs(pol)[0], [0.5, 0.5], atol=1e-15)
 
 
 def test_two_to_one_odds():
     pol = TabularPolicy(np.array([[np.log(2.0), 0.0]]))
-    np.testing.assert_allclose(pol.probs_all()[0], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+    np.testing.assert_allclose(probs(pol)[0], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
 
 def test_reward_values_closed_form():
@@ -80,14 +83,87 @@ def test_negative_transition_rejected():
 
 
 @pytest.mark.parametrize("discount,tau,msg", [
-    (0.9, float("nan"), "temperatures"),
-    (0.9, float("inf"), "temperatures"),
+    (0.9, float("nan"), "tau_max must be a finite real > 0, got nan"),
+    (0.9, float("inf"), "tau_max must be a finite real > 0, got inf"),
     (False, 0.1, "discount"),
 ])
 def test_game_rejects_bool_discount_and_nonfinite_temperature(discount, tau, msg):
     with pytest.raises(ValueError, match=msg):
         MarkovGame(transition=np.ones((1, 1, 1, 1)), init_dist=np.ones(1),
                    absorbing=np.zeros(1, bool), discount=discount, tau_min=0.1, tau_max=tau)
+
+
+def _one_state_game(tau_min=0.1, tau_max=0.1):
+    return MarkovGame(np.ones((1, 1, 1, 1)), np.ones(1), np.zeros(1, bool), 0.9, tau_min, tau_max)
+
+
+def _side_sites():
+    """(site, allowed sides, call of the site with a side) for the four side checks."""
+    game, model = random_game(3)
+    env = build_env("synthetic")
+    p = TabularPolicy.uniform(5, 3)
+    batch = sample_batch(env.game, env.model, [p], [p], 4, 3, RngStream(0), [0])
+    yield ("response_kernel", ("min", "max"),
+           lambda side: game.response_kernel(np.full((3, 2), 0.5), side))
+    yield ("exact_grad_policy", ("min", "max"),
+           lambda side: exact_grad_policy(game, model, np.full((3, 2), 0.5),
+                                          np.full((3, 2), 0.5), side))
+    yield ("reinforce", ("min", "max"),
+           lambda side: reinforce(batch, batch.rewards, [probs(p)], [side], 0.9))
+    yield ("estimate_gradients", ("x", "min", "max"),
+           lambda side: estimate_gradients(env.game, env.model, [p], [p], batch, [side]))
+
+
+_ONE_CELL = dict(sentinel_spawn=(0, 0), intruder_spawns=((0, 0),), target=(0, 0), restricted=())
+
+# every owner of a shared rule: (owner, build(name, value), names, rule), a rule being
+# ("count", least), ("real", "> 0" or ">= 0") or ("side", the allowed sides)
+_SHARED_RULES = [
+    ("PandaConfig", lambda n, v: PandaConfig(**{n: v}),
+     ("inner_iters", "outer_iters", "batch_traj", "batch_ul", "horizon", "eval_cadence"),
+     ("count", 1)),
+    ("PandaConfig", lambda n, v: PandaConfig(**{n: v}), ("seed", "env_step_budget"), ("count", 0)),
+    ("PandaConfig", lambda n, v: PandaConfig(**{n: v}), ("lam",), ("real", "> 0")),
+    ("PandaConfig", lambda n, v: PandaConfig(**{n: v}),
+     ("eta_x", "eta_theta", "eta_shadow_min", "eta_shadow_max"), ("real", ">= 0")),
+    ("OracleOptions", lambda n, v: OracleOptions(**{n: v}), ("inner_cap",), ("count", 1)),
+    ("OracleOptions", lambda n, v: OracleOptions(**{n: v}), ("inner_tol",), ("real", ">= 0")),
+    ("OracleOptions", lambda n, v: OracleOptions(**{n: v}), ("br_tol",), ("real", "> 0")),
+    ("SyntheticSpec", lambda n, v: SyntheticSpec(**{n: v}),
+     ("n_states", "n_actions", "ul_horizon"), ("count", 1)),
+    ("SyntheticSpec", lambda n, v: SyntheticSpec(**{n: v}), ("seed",), ("count", 0)),
+    ("GridSpec", lambda n, v: GridSpec(**_ONE_CELL, **{n: v}),
+     ("width", "height", "max_steps"), ("count", 1)),
+    ("MarkovGame", lambda n, v: _one_state_game(**{n: v}), ("tau_min", "tau_max"),
+     ("real", "> 0")),
+    *((site, lambda n, v, call=call: call(v), ("side",), ("side", allowed))
+      for site, allowed, call in _side_sites()),
+]
+
+
+@pytest.mark.parametrize("owner,build,names,rule", [
+    pytest.param(*case, id=f"{case[0]}-{case[2][0]}") for case in _SHARED_RULES])
+def test_shared_rules_reject_in_one_wording_and_accept_their_bounds(owner, build, names, rule):
+    kind, bound = rule
+    if kind == "count":
+        bad = [bound - 1, float(bound), True, float("nan"), float("inf"), -float("inf"),
+               str(bound)]
+        good, form = [bound], f"must be an integer >= {bound}"
+    elif kind == "real":
+        bad = [-1.0, True, float("nan"), float("inf"), -float("inf"), "1"]
+        bad += [0.0] if bound == "> 0" else []
+        good = [5e-324] if bound == "> 0" else [0.0]  # the least value each rule accepts
+        form = f"must be a finite real {bound}"
+    else:
+        bad = ["both", "MIN", None, 0] + ([] if "x" in bound else ["x"])
+        good, form = list(bound), "must be " + " or ".join(map(repr, bound))
+    for name in names:
+        for v in bad:
+            with pytest.raises(ValueError) as err:
+                build(name, v)
+            assert str(err.value) == f"{name} {form}, got {v!r}"
+        for v in good:
+            build(name, v)
 
 
 @pytest.mark.parametrize("base,scale,msg", [
@@ -144,8 +220,8 @@ def _gapped_game():
 
 def _dense_kernels(game, rng):
     p = game.transition
-    y = TabularPolicy(rng.normal(size=(game.n_states, game.n_actions_min))).probs_all()
-    z = TabularPolicy(rng.normal(size=(game.n_states, game.n_actions_max))).probs_all()
+    y = probs(TabularPolicy(rng.normal(size=(game.n_states, game.n_actions_min))))
+    z = probs(TabularPolicy(rng.normal(size=(game.n_states, game.n_actions_max))))
     v = rng.normal(size=game.n_states)
     k_max, k_min = game.response_kernel(y, "max"), game.response_kernel(z, "min")
     ours = (game.expect(v), game.fold_pair(y, z),
@@ -210,8 +286,8 @@ def test_response_kernel_gives_the_dense_kernels_bits(build):
     assert not game.matrix_free
     S = game.n_states
     for trial in range(3):
-        y = TabularPolicy(3.0 * rng.normal(size=(S, game.n_actions_min))).probs_all()
-        z = TabularPolicy(3.0 * rng.normal(size=(S, game.n_actions_max))).probs_all()
+        y = probs(TabularPolicy(3.0 * rng.normal(size=(S, game.n_actions_min))))
+        z = probs(TabularPolicy(3.0 * rng.normal(size=(S, game.n_actions_max))))
         if trial == 2:  # exact zeros in the policies too
             y[::2, 1:], z[1::2, :1] = 0.0, 0.0
             y, z = y / y.sum(axis=1, keepdims=True), z / z.sum(axis=1, keepdims=True)
@@ -226,10 +302,6 @@ def test_response_kernel_gives_the_dense_kernels_bits(build):
             stopped = p_pol.copy()
             stopped[game.absorbing] = 0.0
             assert _same_bits(kernel.chain(pol).matrix, stopped)
-        # every I - gamma P system matrix: a response fold, a pair fold, its transpose
-        gamma = game.discount
-        for p in (p_pol, game.fold_pair(y, z), game.fold_pair(y, z).T):
-            assert _same_bits(_eye_minus(p, gamma), np.eye(S) - gamma * p)
         assert _same_bits(game.pair_chain(y, z).matrix, game.fold_pair(y, z))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from panda.envs import build_env
-from panda.game import MarkovGame, RewardModel, TabularPolicy
+from panda.game import MarkovGame, RewardModel, TabularPolicy, probs
 from panda.exact import exact_grads_truncated
 from panda.sampling import (
     RngStream,
@@ -273,7 +273,7 @@ def _reference_batch(game, model, pmin, pmax, horizon, us):
         cum = np.cumsum(p)
         return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
 
-    y, z = pmin.probs_all(), pmax.probs_all()
+    y, z = probs(pmin), probs(pmax)
     r = np.where(game.absorbing[:, None, None], 0.0, model.values())
     n = len(us)
     states, amin, amax = (np.zeros((n, horizon), np.intp) for _ in range(3))
@@ -455,7 +455,7 @@ def test_stacked_calls_check_their_requests():
         (lambda **kw: estimate_gradients(game, model, batch=batch, **kw),
          {"policies_min": [pmin, pmin], "policies_max": [pmax, pmax], "sides": ["min", "max"]}),
         (lambda **kw: reinforce(batch, batch.rewards, gamma=0.9, **kw),
-         {"tables": [pmin.probs_all(), pmax.probs_all()], "sides": ["min", "max"]}),
+         {"tables": [probs(pmin), probs(pmax)], "sides": ["min", "max"]}),
     ]
     for call, good in calls:
         assert len(call(**good)) in (2, 8)
@@ -474,7 +474,7 @@ def test_reinforce_on_lists_gives_each_sides_bits():
     pmin, pmax = random_policies(rng, 4, 2, 3, spread=2.0)
     batch = sample_batch(game, model, [pmin], [pmax], 9, 6, RngStream(3), [0])
     rewards = np.where(batch.mask, rng.normal(size=batch.rewards.shape), 0.0)
-    y, z = pmin.probs_all(), pmax.probs_all()
+    y, z = probs(pmin), probs(pmax)
     for tables, sides in (([y, z], ["min", "max"]), ([z, y, z], ["max", "min", "max"])):
         grads = reinforce(batch, rewards, tables, sides, 0.9)
         for got, table, side in zip(grads, tables, sides):
