@@ -252,14 +252,11 @@ def _csv_row(row) -> str:
     return ",".join([f"{it}", f"{steps}", *(repr(float(x)) for x in floats), "0"])
 
 
-def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list[Path]:
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
+def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> None:
+    """Write each run's CSV and the manifest into the existing directory `out`."""
     for res in results:
-        p = out / f"{exp.name}_{res['optimizer']}_seed{res['seed']}.csv"
-        p.write_text("\n".join([CSV_HEADER, *map(_csv_row, res["rows"])]) + "\n")
-        res["csv"] = p.name
-        paths.append(p)
+        res["csv"] = f"{exp.name}_{res['optimizer']}_seed{res['seed']}.csv"
+        (out / res["csv"]).write_text("\n".join([CSV_HEADER, *map(_csv_row, res["rows"])]) + "\n")
     from importlib.metadata import PackageNotFoundError, version
     try:
         pkg_version = version("panda")
@@ -280,7 +277,6 @@ def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list
     }
     (out / f"{exp.name}_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return paths
 
 
 # --------------------------------------------------------------------------
@@ -288,13 +284,19 @@ def write_outputs(exp: ExperimentConfig, results: list[dict], out: Path) -> list
 # --------------------------------------------------------------------------
 
 def _load_run_write(args):
-    """Load the config, run every (optimizer, seed) pair, write the CSVs and the
-    manifest, and report aborted runs; returns (exp, results, out)."""
+    """Load the config, make the output directory, run every (optimizer, seed) pair,
+    write the CSVs and the manifest, and report aborted runs; returns (exp, results, out).
+
+    A directory that cannot be made is a configuration error, raised before any run."""
     exp = load_experiment(args.config, args.seed)
     if args.command == "compare" and len(exp.optimizers) < 2:
         raise ConfigError("compare needs at least two optimizers")
-    results = execute_runs(exp)
     out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {out}: {e}") from e
+    results = execute_runs(exp)
     write_outputs(exp, results, out)
     for r in results:
         if r["error"]:

@@ -368,9 +368,6 @@ class TabularPolicy:
         """All-zero logits, as a read-only view of one zero: no per-state array."""
         return cls(np.broadcast_to(0.0, (n_states, n_actions)))
 
-    def copy(self) -> "TabularPolicy":
-        return TabularPolicy(self.logits.copy())
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax over the last axis."""

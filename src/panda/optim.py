@@ -36,7 +36,8 @@ streams keyed on (purpose, outer, inner, trajectory), so runs are
 reproducible bit-for-bit regardless of scheduling.  The gradients of one
 update phase (the shadow pair, the penalty pair, the incentive pair, the
 descent-ascent pair) are asked for together through `j_grads`, which the
-sampled source answers with one stacked batch.
+sampled source answers with one stacked batch; it adds each batch's steps
+to the state's count as it draws them, so an aborted run counts them too.
 """
 
 from __future__ import annotations
@@ -64,15 +65,13 @@ PURPOSE_UL_X = 7         # upper-level objective, incentive gradient
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A gradient contained NaN or +-inf; the run cannot continue honestly."""
+    """A gradient of block `what` (at inner iteration `inner`, if any) contained NaN
+    or +-inf; the run cannot continue honestly.  `_metrics_loop` adds `outer`, `phase`."""
 
-    def __init__(self, what: str, optimizer: str, outer: int, inner: int | None):
-        at = f"outer {outer}" if inner is None else f"outer {outer}, inner {inner}"
-        super().__init__(f"{optimizer}: non-finite {what} gradient at {at}")
-        self.what = what
-        self.optimizer = optimizer
-        self.outer = outer
-        self.inner = inner
+    def __init__(self, what: str, inner: int | None):
+        at = "" if inner is None else f" at inner {inner}"
+        super().__init__(f"non-finite {what} gradient{at}")
+        self.what, self.inner = what, inner
 
 
 # the errors that abort a run; `_metrics_loop` gives each the rows recorded so far
@@ -195,7 +194,7 @@ def init_state(env: EnvBundle) -> OptimizerState:
     )
 
 
-def _step(params, eta, grad, what, optimizer, outer, inner=None) -> np.ndarray:
+def _step(params, eta, grad, what, inner=None) -> np.ndarray:
     """`params - eta * grad`, which must be finite.
 
     A non-finite gradient, or a step that overflows, aborts the run here,
@@ -204,7 +203,7 @@ def _step(params, eta, grad, what, optimizer, outer, inner=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         new = params - eta * grad
     if not np.all(np.isfinite(new)):
-        raise NonFiniteGradientError(what, optimizer, outer, inner)
+        raise NonFiniteGradientError(what, inner)
     return new
 
 
@@ -239,12 +238,12 @@ def exact_metrics(env: EnvBundle, state: OptimizerState, lam: float,
     return ExactMetrics(ul_objective=float(f_val), ni_gap=float(ni.gap), grad_norm=norm)
 
 
-def _step_policies(state, cfg, gmin, gmax, optimizer, outer, inner) -> None:
+def _step_policies(state, cfg, gmin, gmax, inner) -> None:
     """Descend the policy pair's logits along (gmin, gmax) with step `eta_theta`."""
     state.policy_min = TabularPolicy(_step(state.policy_min.logits, cfg.eta_theta, gmin,
-                                           "min-policy", optimizer, outer, inner))
+                                           "min-policy", inner))
     state.policy_max = TabularPolicy(_step(state.policy_max.logits, cfg.eta_theta, gmax,
-                                           "max-policy", optimizer, outer, inner))
+                                           "max-policy", inner))
 
 
 def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
@@ -296,33 +295,38 @@ def _metrics_loop(env, cfg, state, step_fn) -> RunResult:
 # phase: a list of requests (policy_min, policy_max, side, purpose), each
 # asking for one block, "x", "min" or "max", at a policy pair, all at one
 # (outer, inner)), `ul_policies` and `ul_x` (the upper-level objective's
-# gradients), each call also returning the environment steps it consumed.
+# gradients), each returning gradients only.
 # --------------------------------------------------------------------------
 
 class _Sampled:
     """Policy-gradient estimates, each from a fresh trajectory batch; the
-    requests of one phase are drawn and estimated as one stacked batch."""
+    requests of one phase are drawn and estimated as one stacked batch.
+    Every environment step drawn is added to `state.env_steps` at once."""
 
-    def __init__(self, env: EnvBundle, cfg: PandaConfig):
-        self.env, self.cfg, self.stream = env, cfg, RngStream(cfg.seed)
+    def __init__(self, env: EnvBundle, cfg: PandaConfig, state: OptimizerState):
+        self.env, self.cfg, self.state, self.stream = env, cfg, state, RngStream(cfg.seed)
 
     def j_grads(self, model_x, requests, outer, inner):
         game, cfg = self.env.game, self.cfg
         policies_min, policies_max, sides, purposes = zip(*requests)
         batch = sample_batch(game, model_x, policies_min, policies_max, cfg.batch_traj,
                              cfg.horizon, self.stream, purposes, outer, inner)
-        return (estimate_gradients(game, model_x, policies_min, policies_max, batch, sides),
-                n_env_steps(batch))
+        self.state.env_steps += n_env_steps(batch)
+        return estimate_gradients(game, model_x, policies_min, policies_max, batch, sides)
 
     def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
-        return self.env.ul.grad_policies_estimate(
+        gmin, gmax, steps = self.env.ul.grad_policies_estimate(
             model_x, policy_min, policy_max, self.cfg.batch_ul, self.stream,
             purpose=PURPOSE_UL_POLICY, outer=outer, inner=inner)
+        self.state.env_steps += steps
+        return gmin, gmax
 
     def ul_x(self, model_x, policy_min, policy_max, outer):
-        return self.env.ul.grad_x_estimate(model_x, policy_min, policy_max,
-                                           self.cfg.batch_ul, self.stream,
-                                           purpose=PURPOSE_UL_X, outer=outer)
+        gx, steps = self.env.ul.grad_x_estimate(model_x, policy_min, policy_max,
+                                                self.cfg.batch_ul, self.stream,
+                                                purpose=PURPOSE_UL_X, outer=outer)
+        self.state.env_steps += steps
+        return gx
 
 
 class _Exact:
@@ -335,21 +339,20 @@ class _Exact:
         game = self.env.game
         return [exact_grad_x(game, model_x, pmin, pmax) if side == "x"
                 else exact_grad_policy(game, model_x, pmin, pmax, side)
-                for pmin, pmax, side, _ in requests], 0
+                for pmin, pmax, side, _ in requests]
 
     def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
-        return (*self.env.ul.grad_policies_exact(model_x, policy_min, policy_max), 0)
+        return self.env.ul.grad_policies_exact(model_x, policy_min, policy_max)
 
     def ul_x(self, model_x, policy_min, policy_max, outer):
-        return self.env.ul.grad_x_exact(model_x, policy_min, policy_max), 0
+        return self.env.ul.grad_x_exact(model_x, policy_min, policy_max)
 
 
 # --------------------------------------------------------------------------
 # The update rule
 # --------------------------------------------------------------------------
 
-def _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max, f_scale, pen_scale,
-                  optimizer, t, k):
+def _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max, f_scale, pen_scale, t, k):
     """Step the policy pair on f_scale * f + pen_scale * surrogate gap.
 
     The gap gradients are J's policy gradients against the given shadows
@@ -357,62 +360,56 @@ def _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max, f_scale, pen
     (1/lam, 1) -- the penalized loss rescaled by lam, the default -- and
     (1, lam), the penalized loss itself.  Returns the step's gradients.
     """
-    f_gmin, f_gmax, s1 = src.ul_policies(model_x, state.policy_min, state.policy_max, t, k)
-    (pen_min, pen_max), s2 = src.j_grads(
+    f_gmin, f_gmax = src.ul_policies(model_x, state.policy_min, state.policy_max, t, k)
+    pen_min, pen_max = src.j_grads(
         model_x, [(state.policy_min, shadow_max, "min", PURPOSE_PENALTY_MIN),
                   (shadow_min, state.policy_max, "max", PURPOSE_PENALTY_MAX)], t, k)
     gmin = f_scale * f_gmin + pen_scale * pen_min
     gmax = f_scale * f_gmax - pen_scale * pen_max
-    _step_policies(state, cfg, gmin, gmax, optimizer, t, k)
-    state.env_steps += s1 + s2
+    _step_policies(state, cfg, gmin, gmax, k)
     return gmin, gmax
 
 
-def _incentive_step(src, cfg, state, model_x, shadow_min, shadow_max, optimizer, t):
+def _incentive_step(src, cfg, state, model_x, shadow_min, shadow_max, t):
     """Outer update of x along f's gradient plus lam times the surrogate gap's."""
-    (g_main, g_shadow), s1 = src.j_grads(
+    g_main, g_shadow = src.j_grads(
         model_x, [(state.policy_min, shadow_max, "x", PURPOSE_OUTER_X_MAIN),
                   (shadow_min, state.policy_max, "x", PURPOSE_OUTER_X_SHADOW)], t, 0)
-    f_gx, s2 = src.ul_x(model_x, state.policy_min, state.policy_max, t)
-    ell = f_gx + cfg.lam * (g_main - g_shadow)
-    state.x = _step(state.x, cfg.eta_x, ell, "incentive", optimizer, t)
-    state.env_steps += s1 + s2
+    f_gx = src.ul_x(model_x, state.policy_min, state.policy_max, t)
+    state.x = _step(state.x, cfg.eta_x, f_gx + cfg.lam * (g_main - g_shadow), "incentive")
 
 
-def _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, optimizer, t, k):
+def _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, t, k):
     """One inner iteration of the sampled penalty methods.
 
     Each shadow first takes one gradient step toward its best response; the
     policy pair then takes the penalty step against the advanced shadows.
     """
-    (u, v), steps = src.j_grads(
+    u, v = src.j_grads(
         model_x, [(state.shadow_min, state.policy_max, "min", PURPOSE_SHADOW_MIN),
                   (state.policy_min, state.shadow_max, "max", PURPOSE_SHADOW_MAX)], t, k)
     shadow_min = TabularPolicy(_step(state.shadow_min.logits, cfg.eta_shadow_min, u,
-                                     "min-shadow", optimizer, t, k))
+                                     "min-shadow", k))
     shadow_max = TabularPolicy(_step(state.shadow_max.logits, cfg.eta_shadow_max, -v,
-                                     "max-shadow", optimizer, t, k))
-    _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max,
-                  f_scale, pen_scale, optimizer, t, k)
+                                     "max-shadow", k))
+    _penalty_step(src, cfg, state, model_x, shadow_min, shadow_max, f_scale, pen_scale, t, k)
     state.shadow_min, state.shadow_max = shadow_min, shadow_max
-    state.env_steps += steps
 
 
-def _shadow_run(env, cfg, optimizer, reset, f_scale, pen_scale) -> RunResult:
+def _shadow_run(env, cfg, reset, f_scale, pen_scale) -> RunResult:
     """Sampled penalty method; with `reset` the shadows restart from the policy
-    pair at every outer iteration, otherwise they carry over."""
+    pair at every outer iteration (as the policy objects themselves, which no
+    step writes into), otherwise they carry over."""
     state = init_state(env)
-    src = _Sampled(env, cfg)
+    src = _Sampled(env, cfg, state)
 
     def step(t):
         model_x = env.model.with_params(state.x)
         if reset:
-            state.shadow_min = state.policy_min.copy()
-            state.shadow_max = state.policy_max.copy()
+            state.shadow_min, state.shadow_max = state.policy_min, state.policy_max
         for k in range(cfg.inner_iters):
-            _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, optimizer, t, k)
-        _incentive_step(src, cfg, state, model_x, state.shadow_min, state.shadow_max,
-                        optimizer, t)
+            _shadow_inner_step(src, cfg, state, model_x, f_scale, pen_scale, t, k)
+        _incentive_step(src, cfg, state, model_x, state.shadow_min, state.shadow_max, t)
 
     return _metrics_loop(env, cfg, state, step)
 
@@ -428,7 +425,7 @@ def run_panda(env: EnvBundle, cfg: PandaConfig) -> RunResult:
     the incentives move the trackers resume from their previous position
     instead of relearning the responses from scratch.
     """
-    return _shadow_run(env, cfg, "panda", reset=False, f_scale=1.0 / cfg.lam, pen_scale=1.0)
+    return _shadow_run(env, cfg, reset=False, f_scale=1.0 / cfg.lam, pen_scale=1.0)
 
 
 def run_pbrl(env: EnvBundle, cfg: PandaConfig) -> RunResult:
@@ -440,7 +437,7 @@ def run_pbrl(env: EnvBundle, cfg: PandaConfig) -> RunResult:
     each inner loop; with a small inner budget they chronically lag the true
     responses.
     """
-    return _shadow_run(env, cfg, "pbrl", reset=True, f_scale=1.0, pen_scale=cfg.lam)
+    return _shadow_run(env, cfg, reset=True, f_scale=1.0, pen_scale=cfg.lam)
 
 
 def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
@@ -452,19 +449,17 @@ def run_alternating(env: EnvBundle, cfg: PandaConfig) -> RunResult:
     only through the policies, x never moves.
     """
     state = init_state(env)
-    src = _Sampled(env, cfg)
+    src = _Sampled(env, cfg, state)
 
     def step(t):
         model_x = env.model.with_params(state.x)
         for k in range(cfg.inner_iters):
             pair = (state.policy_min, state.policy_max)
-            (u, v), steps = src.j_grads(model_x, [(*pair, "min", PURPOSE_SHADOW_MIN),
-                                                  (*pair, "max", PURPOSE_SHADOW_MAX)], t, k)
-            _step_policies(state, cfg, u, -v, "alternating", t, k)
-            state.env_steps += steps
-        f_gx, steps = src.ul_x(model_x, state.policy_min, state.policy_max, t)
-        state.x = _step(state.x, cfg.eta_x, f_gx, "incentive", "alternating", t)
-        state.env_steps += steps
+            u, v = src.j_grads(model_x, [(*pair, "min", PURPOSE_SHADOW_MIN),
+                                         (*pair, "max", PURPOSE_SHADOW_MAX)], t, k)
+            _step_policies(state, cfg, u, -v, k)
+        f_gx = src.ul_x(model_x, state.policy_min, state.policy_max, t)
+        state.x = _step(state.x, cfg.eta_x, f_gx, "incentive")
 
     return _metrics_loop(env, cfg, state, step)
 
@@ -495,7 +490,7 @@ def run_oracle(env: EnvBundle, cfg: PandaConfig, **options) -> RunResult:
         model_x = env.model.with_params(state.x)
         for k in range(opts.inner_cap):
             gmin, gmax = _penalty_step(src, cfg, state, model_x, *responses(model_x),
-                                       1.0 / cfg.lam, 1.0, "oracle", t, k)
+                                       1.0 / cfg.lam, 1.0, t, k)
             step_size = max(cfg.eta_theta * np.abs(gmin).max(),
                             cfg.eta_theta * np.abs(gmax).max())
             if step_size <= opts.inner_tol:
@@ -503,7 +498,7 @@ def run_oracle(env: EnvBundle, cfg: PandaConfig, **options) -> RunResult:
         br_min, br_max = responses(model_x)
         state.shadow_min = TabularPolicy(np.log(np.maximum(br_min, 1e-300)))
         state.shadow_max = TabularPolicy(np.log(np.maximum(br_max, 1e-300)))
-        _incentive_step(src, cfg, state, model_x, br_min, br_max, "oracle", t)
+        _incentive_step(src, cfg, state, model_x, br_min, br_max, t)
 
     return _metrics_loop(env, cfg, state, step)
 

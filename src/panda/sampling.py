@@ -232,7 +232,9 @@ def sample_batch(game: MarkovGame, model: RewardModel, policies_min: list,
     rewards = np.empty((n, horizon))
     lengths = np.full(n, horizon)
     running = np.ones(n, dtype=bool)
-    s = _pick(_cumulative(game.init_dist), us[:, 0])
+    # drawn over the initial support, so no rounding short of 1 starts a row off it
+    support = np.flatnonzero(game.init_dist)
+    s = support[_pick(_cumulative(game.init_dist[support]), us[:, 0])]
     for t in range(horizon):
         k = 1 + 3 * t
         row = block + s

@@ -315,19 +315,31 @@ def test_compare_flags_budget_mismatch(tmp_path, monkeypatch, capsys):
 
 def test_nonfinite_run_exits_3_with_partial_csv(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PANDA_THREADS", "1")
-    # step size near the float ceiling overflows the logits to +-inf on the
-    # first update; the next gradient estimate is NaN and aborts the run
+    # a step size near the float ceiling overflows the policy logits on the
+    # first penalty step, which aborts the run there; the shadow, upper-level
+    # and penalty batches of that iteration were drawn and are counted
     path = write_config(tmp_path, config={"outer_iters": 6, "inner_iters": 1,
                                           "batch_traj": 2, "batch_ul": 2,
                                           "horizon": 40, "eta_theta": 1e307})
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
-    assert "aborted" in capsys.readouterr().err
-    header, rows = read_csv(out / "exp_panda_seed0.csv")
-    assert header.startswith("outer_iter")
-    assert len(rows) < 6  # aborted before completing all iterations
-    manifest = json.loads((out / "exp_manifest.json").read_text())
-    assert manifest["runs"][0]["error"]
+    error = "non-finite min-policy gradient at inner 0 (outer 0, step)"
+    assert capsys.readouterr().err == f"error: panda seed 0 aborted: {error}\n"
+    assert read_csv(out / "exp_panda_seed0.csv") == (CSV_HEADER, [])
+    [run] = json.loads((out / "exp_manifest.json").read_text())["runs"]
+    assert run["error"] == error and run["final_env_steps"] == 326
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_out_path_that_is_a_file_exits_2_before_any_run(tmp_path, capsys, caplog, command):
+    caplog.set_level(logging.INFO, logger="panda")
+    path = write_config(tmp_path, optimizers=["panda", "alternating"])
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"cannot make output directory {out}" in capsys.readouterr().err
+    assert "jobs" not in caplog.text
+    assert out.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("name,error,aborted", [

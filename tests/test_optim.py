@@ -16,6 +16,7 @@ from panda.cli import load_experiment
 from panda.envs import EnvBundle, SyntheticSpec, build_env, build_synthetic
 from panda.exact import exact_grads_truncated, ni_gap, ni_gradients, solve_ne
 from panda.game import TabularPolicy
+from panda.sampling import n_env_steps
 from panda.optim import (
     NonFiniteGradientError,
     OptimizerState,
@@ -296,22 +297,23 @@ def test_oracle_consumes_no_env_steps_and_descends():
 class TruncatedExact:
     """Gradient source of exact horizon-truncated J gradients: the sampled estimators' means.
 
-    The upper-level gradients are exact too; no environment steps are spent.
+    The upper-level gradients are exact too; no environment steps are spent,
+    so the state's count is never touched.
     """
 
-    def __init__(self, env, cfg):
+    def __init__(self, env, cfg, state):
         self.env, self.horizon = env, cfg.horizon
 
     def j_grads(self, model_x, requests, outer, inner):
         return [exact_grads_truncated(self.env.game, model_x, policy_min, policy_max,
                                       self.horizon)[("min", "max", "x").index(side)]
-                for policy_min, policy_max, side, _ in requests], 0
+                for policy_min, policy_max, side, _ in requests]
 
     def ul_policies(self, model_x, policy_min, policy_max, outer, inner):
-        return (*self.env.ul.grad_policies_exact(model_x, policy_min, policy_max), 0)
+        return self.env.ul.grad_policies_exact(model_x, policy_min, policy_max)
 
     def ul_x(self, model_x, policy_min, policy_max, outer):
-        return self.env.ul.grad_x_exact(model_x, policy_min, policy_max), 0
+        return self.env.ul.grad_x_exact(model_x, policy_min, policy_max)
 
 
 def test_exact_truncated_gradients_reach_the_documented_gaps(monkeypatch):
@@ -350,15 +352,14 @@ def test_inner_updates_unbiased_at_equilibrium():
     cfg = PandaConfig(outer_iters=1, inner_iters=1, eta_theta=1.0,
                       eta_shadow_min=0.01, eta_shadow_max=0.01,
                       batch_traj=8, horizon=40, seed=17)
-    src = _Sampled(env, cfg)
     reps = 200
     deltas_min, deltas_max = [], []
     for rep in range(reps):
         state = OptimizerState(x=env.model.incentive_params.copy(),
-                               policy_min=ne_min.copy(), policy_max=ne_max.copy(),
-                               shadow_min=ne_min.copy(), shadow_max=ne_max.copy())
-        _shadow_inner_step(src, cfg, state, env.model.with_params(state.x),
-                           1.0 / cfg.lam, 1.0, "panda", rep, 0)
+                               policy_min=ne_min, policy_max=ne_max,
+                               shadow_min=ne_min, shadow_max=ne_max)
+        _shadow_inner_step(_Sampled(env, cfg, state), cfg, state,
+                           env.model.with_params(state.x), 1.0 / cfg.lam, 1.0, rep, 0)
         deltas_min.append((state.policy_min.logits - ne_min.logits).ravel())
         deltas_max.append((state.policy_max.logits - ne_max.logits).ravel())
     for deltas in (deltas_min, deltas_max):
@@ -379,8 +380,37 @@ def test_non_finite_gradient_raises():
     env = EnvBundle(name="bad", game=game, model=model, ul=BadUL())
     with pytest.raises(NonFiniteGradientError) as exc:
         run_panda(env, PandaConfig(outer_iters=2, inner_iters=1, seed=0))
-    assert exc.value.optimizer == "panda"
     assert "min-policy" in str(exc.value)
+
+
+def test_aborted_run_counts_every_env_step_drawn(monkeypatch):
+    """A run that aborts mid-iteration reports the steps of every batch it drew.
+
+    The step size overflows the policy logits at the first penalty step
+    (outer 0, inner 0), after the shadow, upper-level and penalty batches of
+    that iteration are drawn; the count is read off the batches themselves.
+    """
+    drawn = []
+
+    def counting(sample):
+        def wrapper(*args, **kwargs):
+            batch = sample(*args, **kwargs)
+            drawn.append(n_env_steps(batch))
+            return batch
+        return wrapper
+
+    for module in (optim, panda.envs):
+        monkeypatch.setattr(module, "sample_batch", counting(module.sample_batch))
+    env = build_env("synthetic", seed=0)
+    cfg = PandaConfig(outer_iters=6, inner_iters=1, batch_traj=2, batch_ul=2, horizon=40,
+                      eta_theta=1e307, seed=0)
+    with pytest.raises(NonFiniteGradientError) as exc:
+        run_panda(env, cfg)
+    e = exc.value
+    assert str(e) == "non-finite min-policy gradient at inner 0"
+    assert (e.what, e.inner, e.outer, e.phase) == ("min-policy", 0, 0, "step")
+    assert len(drawn) == 3 and e.partial.records == []
+    assert e.partial.state.env_steps == sum(drawn) == 326
 
 
 def test_exact_metrics_consistency():

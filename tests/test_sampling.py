@@ -362,6 +362,27 @@ def test_successor_draw_past_a_short_row_sum_stays_on_a_successor():
     assert _successors(game)(np.zeros(1, np.intp), np.array([1.0 - 1e-13])).tolist() == [1]
 
 
+def test_initial_states_come_from_the_initial_support():
+    # six spawns: the initial masses sum to just under 1, and the absorbing
+    # terminal after them has mass 0; the largest uniform below 1 must still
+    # start every trajectory on a spawn
+    spawns = ((0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (4, 0))
+    env = build_env("sentinel", intruder_spawns=spawns)
+    game = env.game
+    assert np.cumsum(game.init_dist)[-1] < 1.0 and game.init_dist[-1] == 0.0
+
+    class TopStream:
+        def uniforms(self, purpose, outer, inner, batch, n):
+            us = np.full((batch, n), 0.5)
+            us[:, 0] = np.nextafter(1.0, 0.0)
+            return us
+
+    pol = TabularPolicy.uniform(game.n_states, game.n_actions_min)
+    batch = sample_batch(game, env.model, [pol], [pol], 4, 3, TopStream(), [0])
+    assert np.all(game.init_dist[batch.states[:, 0]] > 0.0)
+    assert batch.states[:, 0].tolist() == [np.flatnonzero(game.init_dist)[-1]] * 4
+
+
 def test_rng_stream_rejects_coordinates_outside_their_fields():
     stream = RngStream(5)
     # purpose and outer share one counter word: outer 2**48 would alias purpose 1
