@@ -203,6 +203,17 @@ class MarkovGame:
                 ((s * B + np.arange(B)[:, None]) * S + self.succ).ravel(),
                 ((s * A + np.arange(A)[:, None, None]) * S + self.succ).ravel())
 
+    @cached_property
+    def _draws(self):
+        """Sampling tables: the successor lists' `_cumulative` rows, one per flat
+        (s, a, b) (None when every list has one entry), the initial support and its
+        `_cumulative` row, and whether any state is absorbing; built on the first
+        rollout, as only the sampler draws."""
+        k = self.succ.shape[3]
+        support = np.flatnonzero(self.init_dist)
+        return (None if k == 1 else _cumulative(self.succ_prob.reshape(-1, k)), support,
+                _cumulative(self.init_dist[support]), bool(self.absorbing.any()))
+
     def fold_pair(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """State-to-state kernel under the policy pair (y, z), shape (S, S)."""
         S = self.n_states
@@ -387,6 +398,19 @@ def probs(policy) -> np.ndarray:
     if isinstance(policy, TabularPolicy):
         return softmax(policy.logits)
     return np.asarray(policy, dtype=float)
+
+
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums of probability rows along the last axis, +inf on each row from
+    its first entry that reaches the row's total.
+
+    That entry has positive mass, so a draw above a total rounded short of 1
+    lands on an entry of positive mass: for a successor list, on its last real
+    successor rather than a pad.
+    """
+    cum = np.cumsum(p, axis=-1)
+    cum[cum >= cum[..., -1:]] = np.inf
+    return cum
 
 
 def effective_reward(game: MarkovGame, model: RewardModel) -> np.ndarray:

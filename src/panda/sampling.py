@@ -18,11 +18,13 @@ inner) coordinate, each from its own policy pair and stream purpose.
 `sample_batch` and `estimate_gradients` take their requests as equal-length
 lists, one entry per request (a single request is a one-entry list), and
 treat them as one stacked batch: request p owns rows p*B ... (p+1)*B - 1,
-drawn from its own purpose's streams, and reads its policies' tables (built
-once per distinct policy) stacked as (P*S, K) arrays at row p*S + s.  Its
-gradient accumulates at its own offset of one `np.add.at`, in the order a
-call for that request alone would use, so a stacked phase gives each request
-the bits a separate call would.
+drawn from its own purpose's streams, and reads its policies' tables stacked
+as (P*S, K) arrays at row p*S + s.  Each side's tables are built by one
+row-wise pass over its requests' stacked logits, which gives each row the
+bits a table of its policy alone would.  Its gradient accumulates at its own
+offset of one `np.add.at`, in the order a call for that request alone would
+use, so a stacked phase gives each request the bits a separate call would.
+A game's draw tables are built on its first rollout and kept while it lives.
 
 All policy-gradient estimates go through one REINFORCE loop, `reinforce`,
 which weights each step's score by the discounted reward-to-go of whatever
@@ -37,11 +39,12 @@ derivative mass on the visited (s, a, b) triples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .game import (MarkovGame, RewardModel, _check_side, _is_int, effective_reward,
-                   effective_reward_grad_x, log_softmax, probs)
+from .game import (MarkovGame, RewardModel, _check_side, _cumulative, _is_int,
+                   effective_reward, effective_reward_grad_x, log_softmax, softmax)
 
 __all__ = [
     "RngStream",
@@ -69,7 +72,8 @@ class RngStream:
     """
 
     seed: int
-    # one generator and a fresh state of it, built on the first `uniforms` call
+    # one generator, its bit generator and a fresh state of it with every
+    # number a Python int, built on the first `uniforms` call
     _rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,19 +81,18 @@ class RngStream:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @staticmethod
-    def _counter(purpose, outer, inner, traj) -> np.ndarray:
+    def _counter(purpose, outer, inner, traj) -> list[int]:
         for name, v, bits in (("purpose", purpose, 16), ("outer", outer, 48),
                               ("inner", inner, 64), ("traj", traj, 64)):
             if not (_is_int(v) and 0 <= v < 1 << bits):
                 raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {v!r}")
-        return np.array([0, int(traj), int(inner), int(purpose) << 48 | int(outer)],
-                        dtype=np.uint64)
+        return [0, int(traj), int(inner), int(purpose) << 48 | int(outer)]
 
     def generator(self, purpose: int = 0, outer: int = 0, inner: int = 0,
                   traj: int = 0) -> np.random.Generator:
+        counter = np.array(self._counter(purpose, outer, inner, traj), dtype=np.uint64)
         key = np.array([self.seed, _KEY_SALT], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(
-            counter=self._counter(purpose, outer, inner, traj), key=key))
+        return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
     def uniforms(self, purpose: int, outer: int, inner: int, batch: int,
                  n: int) -> np.ndarray:
@@ -100,20 +103,26 @@ class RngStream:
         which is cheaper than building a generator per trajectory or per
         call: building one and reading its state took about 20 us, half of
         it the OS entropy a bit generator draws before its key is replaced.
-        A numpy Philox4x64-10 that gives the same bits, one block per row
-        and counter, was slower than a generator per call: 682 us against
-        120 us at 16 rows of 10, and 1,063 us against 448 us at 64 rows of 61.
+        The state is a dict whose counter, key and buffer are lists of Python
+        ints, so the setter reads plain ints instead of uint64 array items:
+        0.5 us per row against 1.2 us from arrays (2-core x86 VM, numpy 2.4).
+        A numpy Philox4x64-10 that gives the same bits, one block per row and
+        counter, was slower than a generator per call: 682 us against 120 us
+        at 16 rows of 10, and 1,063 us against 448 us at 64 rows of 61.
         """
         if not self._rows:
             gen = self.generator()
-            self._rows.extend((gen, gen.bit_generator.state))
-        gen, state = self._rows
+            state = gen.bit_generator.state
+            state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+            state["buffer"] = state["buffer"].tolist()
+            self._rows.extend((gen, gen.bit_generator, state))
+        gen, bits, state = self._rows
         counter = state["state"]["counter"]
         counter[:] = self._counter(purpose, outer, inner, 0)
         out = np.empty((batch, n))
         for i in range(batch):
             counter[1] = i
-            gen.bit_generator.state = state
+            bits.state = state
             gen.random(out=out[i])
         return out
 
@@ -142,27 +151,20 @@ class TrajBatch:
         return len(self.lengths)
 
 
-def _cumulative(p: np.ndarray) -> np.ndarray:
-    """Cumulative sums of probability rows along the last axis, each row's last entry +inf."""
-    cum = np.cumsum(p, axis=-1)
-    cum[..., -1] = np.inf
-    return cum
-
-
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Indices drawn by uniforms `u` from rows `cum` of `_cumulative`.
 
     `cum` is one row per entry of `u`, or a single row shared by all.  The
     rows are nondecreasing, so the first entry > u is at the number of
-    entries <= u (searchsorted with side="right"); the +inf ending caps the
-    index at the last entry against rounding in the row sums.
+    entries <= u (searchsorted with side="right"); the +inf entries cap the
+    index against rounding in the row sums.
     """
     return (cum > u[:, None]).argmax(axis=-1)
 
 
 def _successors(game: MarkovGame):
     """Function drawing next states by uniforms `u` over the successor lists of flat
-    (s, a, b) indices `sab`, its cumulative rows built once.
+    (s, a, b) indices `sab`, from the game's cumulative rows (`MarkovGame._draws`).
 
     A game whose lists hold one successor each needs no draw.
     """
@@ -170,7 +172,7 @@ def _successors(game: MarkovGame):
     succ = game.succ.reshape(-1, k)
     if k == 1:
         return lambda sab, u: succ[sab, 0]
-    cum = _cumulative(game.succ_prob.reshape(-1, k))
+    cum = game._draws[0]
     return lambda sab, u: succ[sab, _pick(cum[sab], u)]
 
 
@@ -187,19 +189,23 @@ def _check_requests(**lists) -> int:
     return lengths.pop()
 
 
-def _tables(table, policies) -> dict:
-    """`table(p)` for each distinct policy object p of `policies`, keyed by `id(p)`."""
-    distinct = {id(p): p for p in policies}
-    return {key: table(p) for key, p in distinct.items()}
+def _stacked_logits(policies) -> np.ndarray:
+    """The policies' (S, K) logits stacked into one (P*S, K) array, request p at rows
+    p*S ... (p+1)*S - 1."""
+    return np.concatenate([p.logits for p in policies])
 
 
+@lru_cache(maxsize=64)
 def _block_offsets(n: int, n_req: int, size: int) -> np.ndarray:
     """p * size for each of n rows split into n_req equal blocks, p the row's block.
 
     Request p's (S, K) tables are stacked into (P*S, K) arrays at rows
     p*S ... (p+1)*S - 1, so a row of block p in state s reads row p*S + s.
+    The array is shared between calls and read-only.
     """
-    return np.repeat(np.arange(n_req) * size, n // n_req)
+    offsets = np.repeat(np.arange(n_req) * size, n // n_req)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def sample_batch(game: MarkovGame, model: RewardModel, policies_min: list,
@@ -207,13 +213,16 @@ def sample_batch(game: MarkovGame, model: RewardModel, policies_min: list,
                  purposes: list, outer: int = 0, inner: int = 0) -> TrajBatch:
     """Sample `batch` independent trajectories per request on dedicated per-index streams.
 
-    `policies_min`, `policies_max` and `purposes` are equal-length lists, one
-    entry per request.  Rows p*batch ... (p+1)*batch - 1 hold request p's
-    trajectories, each row the trajectory a call for request p alone would
-    give.  Row i's uniforms give its initial state, then (min action, max
-    action, next state) per step.  Every row is stepped while any trajectory
-    is running; a trajectory ends once it enters an absorbing state, and the
-    steps recorded past its end are zeroed at the end.
+    `policies_min`, `policies_max` (`TabularPolicy` objects) and `purposes`
+    are equal-length lists, one entry per request.  Rows p*batch ...
+    (p+1)*batch - 1 hold request p's trajectories, each row the trajectory a
+    call for request p alone would give.  Row i's uniforms give its initial
+    state, then (min action, max action, next state) per step.  Each side's
+    cumulative action rows come from one softmax and one cumulative sum over
+    its requests' stacked logits; the game's draw tables are built once per
+    game.  Every row is stepped while any trajectory is running; on a game
+    with absorbing states a trajectory ends once it enters one, and the steps
+    recorded past its end are zeroed at the end.
     """
     _check_requests(policies_min=policies_min, policies_max=policies_max, purposes=purposes)
     us = np.concatenate([stream.uniforms(p, outer, inner, batch, 1 + 3 * horizon)
@@ -221,11 +230,11 @@ def sample_batch(game: MarkovGame, model: RewardModel, policies_min: list,
     n = len(us)
     n_states, na, nb, _ = game.succ.shape
     r_flat = effective_reward(game, model).ravel()
-    cum = _tables(lambda p: _cumulative(probs(p)), [*policies_min, *policies_max])
-    cum_y = np.concatenate([cum[id(p)] for p in policies_min])
-    cum_z = np.concatenate([cum[id(p)] for p in policies_max])
+    cum_y = _cumulative(softmax(_stacked_logits(policies_min)))
+    cum_z = _cumulative(softmax(_stacked_logits(policies_max)))
     block = _block_offsets(n, len(policies_min), n_states)
     successors = _successors(game)
+    _, support, cum_init, absorbing = game._draws
     states = np.empty((n, horizon), dtype=np.intp)
     amin = np.empty_like(states)
     amax = np.empty_like(states)
@@ -233,8 +242,7 @@ def sample_batch(game: MarkovGame, model: RewardModel, policies_min: list,
     lengths = np.full(n, horizon)
     running = np.ones(n, dtype=bool)
     # drawn over the initial support, so no rounding short of 1 starts a row off it
-    support = np.flatnonzero(game.init_dist)
-    s = support[_pick(_cumulative(game.init_dist[support]), us[:, 0])]
+    s = support[_pick(cum_init, us[:, 0])]
     for t in range(horizon):
         k = 1 + 3 * t
         row = block + s
@@ -244,14 +252,16 @@ def sample_batch(game: MarkovGame, model: RewardModel, policies_min: list,
         sab = (s * na + a) * nb + b
         rewards[:, t] = r_flat[sab]
         s = successors(sab, us[:, k + 2])
-        ended = running & game.absorbing[s]
-        lengths[ended] = t + 1
-        running &= ~ended
-        if not running.any():
-            break
-    pad = np.arange(horizon) >= lengths[:, None]
-    for steps in (states, amin, amax, rewards):
-        steps[pad] = 0
+        if absorbing:
+            ended = running & game.absorbing[s]
+            lengths[ended] = t + 1
+            running &= ~ended
+            if not running.any():
+                break
+    if absorbing:
+        pad = np.arange(horizon) >= lengths[:, None]
+        for steps in (states, amin, amax, rewards):
+            steps[pad] = 0
     return TrajBatch(states, amin, amax, rewards, lengths)
 
 
@@ -275,16 +285,19 @@ def _score_sums(s, acts, w, mask, tables) -> list[np.ndarray]:
 
     The (n, H) rows are split into one equal block per table (S, K_p), block p
     scored against table p.  The tables are stacked, zero-padded to the widest
-    K, into one (P*S, K) array that row i of block p reads at `s` = p*S + its
-    state, which is also its accumulator row, so accumulator
-    p sits at offset p*S*K.  Each cell's terms are added trajectory by
-    trajectory in step order, as a per-trajectory loop would.
+    K if their widths differ, into one (P*S, K) array that row i of block p
+    reads at `s` = p*S + its state, which is also its accumulator row, so
+    accumulator p sits at offset p*S*K.  Each cell's terms are added
+    trajectory by trajectory in step order, as a per-trajectory loop would.
     """
     n, h = s.shape
     n_states, k = len(tables[0]), max(t.shape[1] for t in tables)
-    probs = np.zeros((len(tables) * n_states, k))
-    for p, t in enumerate(tables):
-        probs[p * n_states:(p + 1) * n_states, :t.shape[1]] = t
+    if all(t.shape[1] == k for t in tables):
+        probs = np.concatenate(tables)
+    else:
+        probs = np.zeros((len(tables) * n_states, k))
+        for p, t in enumerate(tables):
+            probs[p * n_states:(p + 1) * n_states, :t.shape[1]] = t
     # per trajectory: its chosen-action entries, then its -w*pi rows
     idx = np.concatenate([s * k + acts, (s[:, :, None] * k + np.arange(k)).reshape(n, -1)],
                          axis=1)
@@ -328,7 +341,8 @@ def estimate_gradients(game: MarkovGame, model: RewardModel, policies_min: list,
     `policies_min`, `policies_max` and `sides` are equal-length lists, one
     entry per request of a `sample_batch` call: row block p of `batch`
     estimates request p's block.  The sides must be all "x" or all policy
-    sides.
+    sides.  Each side's log-probabilities come from one log-softmax over its
+    requests' stacked logits, and the score tables are their `exp`.
     """
     n_req = _check_requests(policies_min=policies_min, policies_max=policies_max, sides=sides)
     for sd in sides:
@@ -345,15 +359,14 @@ def estimate_gradients(game: MarkovGame, model: RewardModel, policies_min: list,
         grad = np.zeros(n_req * gx.size)
         np.add.at(grad, (np.ravel_multi_index((s, a, b), gx.shape) + block)[mask], w[mask])
         return list(grad.reshape(n_req, *gx.shape) / per)
-    log_probs = _tables(lambda p: log_softmax(p.logits), [*policies_min, *policies_max])
-    row = s + _block_offsets(len(batch), n_req, game.n_states)[:, None]
-    lp_y = np.concatenate([log_probs[id(p)] for p in policies_min])
-    lp_z = np.concatenate([log_probs[id(p)] for p in policies_max])
-    u = batch.rewards + game.tau_min * lp_y[row, a] - game.tau_max * lp_z[row, b]
+    n_states = game.n_states
+    row = s + _block_offsets(len(batch), n_req, n_states)[:, None]
+    lp = {"min": log_softmax(_stacked_logits(policies_min)),
+          "max": log_softmax(_stacked_logits(policies_max))}
+    u = batch.rewards + game.tau_min * lp["min"][row, a] - game.tau_max * lp["max"][row, b]
     u[game.absorbing[s] | ~mask] = 0.0
     acts = np.where(np.repeat([sd == "min" for sd in sides], per)[:, None], a, b)
-    acting = [pmin if sd == "min" else pmax
-              for pmin, pmax, sd in zip(policies_min, policies_max, sides)]
-    score_probs = _tables(lambda p: np.exp(log_probs[id(p)]), acting)
+    score = {sd: np.exp(lp[sd]) for sd in set(sides)}
+    tables = [score[sd][p * n_states:(p + 1) * n_states] for p, sd in enumerate(sides)]
     return [g / per for g in _score_sums(row, acts, _discounted_to_go(u, game.discount),
-                                         mask, [score_probs[id(p)] for p in acting])]
+                                         mask, tables)]

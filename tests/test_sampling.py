@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from panda import game as game_module, sampling
 from panda.envs import build_env
 from panda.game import MarkovGame, RewardModel, TabularPolicy, probs
 from panda.exact import exact_grads_truncated
@@ -106,6 +110,18 @@ def test_uniforms_rows_match_per_trajectory_generators():
     assert u.shape == (6, 7)
     for i in range(6):
         assert np.array_equal(u[i], stream.generator(3, 4, 5, i).random(7))
+
+
+def test_uniforms_rows_at_the_top_of_every_counter_field():
+    # each counter and key word is at or above 2**63 once it is a Python int
+    stream = RngStream(2**64 - 1)
+    top = (2**16 - 1, 2**48 - 1, 2**64 - 1)
+    u = stream.uniforms(*top, 3, 5)
+    for i in range(3):
+        assert np.array_equal(u[i], stream.generator(*top, i).random(5))
+    # a later call at small coordinates is not disturbed by the large ones
+    assert np.array_equal(stream.uniforms(1, 2, 3, 2, 4)[1],
+                          stream.generator(1, 2, 3, 1).random(4))
 
 
 def test_philox_key_is_seed_and_salt_as_uint64():
@@ -268,10 +284,11 @@ def test_variance_scales_inversely_with_batch():
 
 
 def _reference_batch(game, model, pmin, pmax, horizon, us):
-    """One trajectory at a time, each draw a searchsorted over its row capped at the last entry."""
+    """One trajectory at a time, each draw a searchsorted over its row capped at the last
+    entry of positive mass."""
     def draw(p, u):
         cum = np.cumsum(p)
-        return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+        return min(int(np.searchsorted(cum, u, side="right")), np.flatnonzero(p)[-1])
 
     y, z = probs(pmin), probs(pmax)
     r = np.where(game.absorbing[:, None, None], 0.0, model.values())
@@ -315,6 +332,8 @@ def test_rollout_matches_per_row_reference():
         assert det.succ.shape[3] == 1
         games.append((det, RewardModel(rng.normal(size=(n, 2, 3)),
                                        rng.normal(size=(n, 2, 3)), 1.0)))
+    # games with and without absorbing states take different paths through the rollout
+    assert {bool(game.absorbing.any()) for game, _ in games} == {False, True}
     early_ends = absorbing_starts = 0
     for g, (game, model) in enumerate(games):
         S, A, B, _ = game.succ.shape
@@ -381,6 +400,28 @@ def test_initial_states_come_from_the_initial_support():
     batch = sample_batch(game, env.model, [pol], [pol], 4, 3, TopStream(), [0])
     assert np.all(game.init_dist[batch.states[:, 0]] > 0.0)
     assert batch.states[:, 0].tolist() == [np.flatnonzero(game.init_dist)[-1]] * 4
+
+
+class _ConstantStream:
+    """Every uniform of every row equal to `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def uniforms(self, purpose, outer, inner, batch, n):
+        return np.full((batch, n), self.value)
+
+
+def test_action_of_probability_zero_is_never_drawn():
+    # the first six actions' masses sum to 0.9999999999999999 and the last has mass 0:
+    # the largest uniform below 1 must take the sixth action, not the seventh
+    game = MarkovGame(np.ones((1, 7, 1, 1)), np.ones(1), np.zeros(1, bool), 0.9, 0.1, 0.1)
+    model = RewardModel(np.zeros((1, 7, 1)), np.zeros((1, 7, 1)), 0.0)
+    pmin = TabularPolicy([[0, 0, 0, 0, 0, 0, -1000]])
+    assert probs(pmin)[0, 6] == 0.0 and np.cumsum(probs(pmin))[5] < 1.0
+    batch = sample_batch(game, model, [pmin], [TabularPolicy.uniform(1, 1)], 2, 3,
+                         _ConstantStream(np.nextafter(1.0, 0.0)), [0])
+    assert batch.actions_min.tolist() == [[5] * 3] * 2
 
 
 def test_rng_stream_rejects_coordinates_outside_their_fields():
@@ -501,3 +542,50 @@ def test_reinforce_on_lists_gives_each_sides_bits():
         for got, table, side in zip(grads, tables, sides):
             want, = reinforce(batch, rewards, [table], [side], 0.9)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), side
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(sampling, name)
+    monkeypatch.setattr(sampling, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n_req", [1, 2, 4])
+def test_one_table_pass_per_side_per_phase(monkeypatch, n_req):
+    game, model = random_game(181, n_states=4, na=2, nb=3, n_absorbing=1)
+    rng = np.random.default_rng(65)
+    pairs = [random_policies(rng, 4, 2, 3) for _ in range(n_req)]
+    pmins, pmaxs = [p[0] for p in pairs], [p[1] for p in pairs]
+    softmaxes = _counting(monkeypatch, "softmax")
+    log_softmaxes = _counting(monkeypatch, "log_softmax")
+    batch = sample_batch(game, model, pmins, pmaxs, 5, 4, RngStream(0), list(range(n_req)))
+    assert (len(softmaxes), len(log_softmaxes)) == (2, 0)
+    for sides in (["min"] * n_req, [("max", "min")[p % 2] for p in range(n_req)]):
+        log_softmaxes.clear()
+        estimate_gradients(game, model, pmins, pmaxs, batch, sides)
+        assert len(log_softmaxes) == 2
+    assert len(softmaxes) == 2
+
+
+def test_draw_tables_built_once_per_game(monkeypatch):
+    built = []
+    real = game_module._cumulative
+    monkeypatch.setattr(game_module, "_cumulative", lambda p: built.append(p.shape) or real(p))
+    game, model = random_game(191, n_states=3)
+    pol = TabularPolicy(np.zeros((3, 2)))
+    for n_req in (1, 2, 1):
+        sample_batch(game, model, [pol] * n_req, [pol] * n_req, 4, 2, RngStream(0),
+                     list(range(n_req)))
+    assert built == [(12, 3), (3,)]  # successor rows, then the initial support's row
+
+
+def test_dropping_a_game_frees_its_draw_tables():
+    game, model = random_game(193, n_states=3, n_absorbing=1)
+    pol = TabularPolicy(np.zeros((3, 2)))
+    sample_batch(game, model, [pol], [pol], 4, 2, RngStream(0), [0])
+    tables = weakref.ref(game._draws[0])
+    ref = weakref.ref(game)
+    del game
+    gc.collect()
+    assert ref() is None and tables() is None
